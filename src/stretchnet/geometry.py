@@ -4,7 +4,8 @@ All coordinates are plain floats; 2D points are any indexable pair.  A
 single absolute tolerance ``EPS`` governs collinearity, point-on-segment
 and point-on-curve decisions.  Meshes are rescaled to unit bounding-box
 diameter on load, so one absolute epsilon is adequate everywhere.  The
-``UNFOLD_EPS`` environment variable overrides it (testing only).
+``UNFOLD_EPS`` environment variable overrides it (testing only); any
+value but a positive finite number raises ValueError at import.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -21,7 +22,19 @@ from .errors import DegenerateDirection, DegenerateSegment, PointOnBoundary
 Vec2 = Sequence[float]
 Vec3 = Sequence[float]
 
-EPS = float(os.environ.get("UNFOLD_EPS", "1e-9"))
+
+def _eps_from_env() -> float:
+    raw = os.environ.get("UNFOLD_EPS", "1e-9")
+    try:
+        eps = float(raw)
+    except ValueError:
+        eps = math.nan
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"UNFOLD_EPS must be a positive finite number, got {raw!r}")
+    return eps
+
+
+EPS = _eps_from_env()
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,11 +84,19 @@ def orient_raw(a: Vec2, b: Vec2, c: Vec2) -> float:
 
 
 def orient2d(a: Vec2, b: Vec2, c: Vec2) -> int:
-    """Sign of the doubled signed area of abc: +1 ccw, -1 cw, 0 if within EPS of collinear."""
-    d = orient_raw(a, b, c)
+    """Sign of the doubled signed area of abc: +1 ccw, -1 cw, 0 if within EPS of collinear.
+
+    The area is evaluated on the points in sorted order and the sign
+    flipped for an odd permutation, so every ordering of the same three
+    points rounds alike and the predicate is exactly antisymmetric.
+    """
+    pts = [(float(p[0]), float(p[1])) for p in (a, b, c)]
+    order = sorted(range(3), key=pts.__getitem__)
+    d = orient_raw(*(pts[k] for k in order))
     if abs(d) <= EPS:
         return 0
-    return 1 if d > 0.0 else -1
+    even = order in ([0, 1, 2], [1, 2, 0], [2, 0, 1])
+    return 1 if (d > 0.0) == even else -1
 
 
 def point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:

@@ -19,8 +19,10 @@ _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 def faces_from_hull(points: np.ndarray, tol: float = 1e-8) -> list[tuple[int, ...]]:
     """Face cycles of the convex hull of ``points``, coplanar triangles merged.
 
-    Hull simplices are oriented outward, grouped by supporting plane, and
-    each group's once-used directed edges are chained into a single cycle.
+    Hull simplices are oriented outward, neighbouring simplices whose
+    plane equations agree within ``tol`` are merged with a union-find,
+    and each group's once-used directed edges are chained into a single
+    cycle.  Faces are listed in the order of their first hull simplex.
     """
     pts = np.asarray(points, dtype=float)
     hull = ConvexHull(pts)
@@ -30,19 +32,31 @@ def faces_from_hull(points: np.ndarray, tol: float = 1e-8) -> list[tuple[int, ..
         n = eq[:3]
         if float(np.cross(pts[b] - pts[a], pts[c] - pts[a]) @ n) < 0.0:
             b, c = c, b
-        tris.append(((a, b, c), eq))
+        tris.append((a, b, c))
 
-    groups: list[tuple[np.ndarray, list[tuple[int, int, int]]]] = []
-    for tri, eq in tris:
-        for geq, members in groups:
-            if np.abs(geq - eq).max() <= tol:
-                members.append(tri)
-                break
-        else:
-            groups.append((eq, [tri]))
+    parent = list(range(len(tris)))
+
+    def find(t):
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    nbr = hull.neighbors
+    own = np.repeat(np.arange(len(tris)), nbr.shape[1])
+    other = nbr.ravel()
+    coplanar = np.abs(hull.equations[own] - hull.equations[other]).max(axis=1) <= tol
+    for t, u in zip(own[coplanar].tolist(), other[coplanar].tolist()):
+        rt, ru = find(t), find(u)
+        if rt != ru:
+            parent[max(rt, ru)] = min(rt, ru)
+
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for t, tri in enumerate(tris):
+        groups.setdefault(find(t), []).append(tri)
 
     faces = []
-    for _, members in groups:
+    for members in groups.values():
         counts: dict[tuple[int, int], int] = {}
         for a, b, c in members:
             for u, v in ((a, b), (b, c), (c, a)):

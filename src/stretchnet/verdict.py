@@ -58,7 +58,3 @@ class Verdict:
             "witnesses": [w.to_json() for w in self.witnesses],
             "checks": dict(self.checks),
         }
-
-
-def passing(checks: Optional[dict] = None) -> Verdict:
-    return Verdict(Status.NET, (), checks or {})

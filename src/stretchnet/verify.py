@@ -8,6 +8,14 @@ last two alone already imply injectivity of the unfolding (preimage
 count equals winding number for isometric immersions of a disc); the
 first two are the structural facts the stretching is meant to buy, so
 their failure is reported as a precondition problem rather than overlap.
+
+The collision check measures only segment pairs whose bounding boxes
+come within the tolerance, found by sorting the boxes by x.  The winding
+grid runs only when it can fail: a boundary with no collision is a
+simple closed polygon, whose winding number is sign(area) inside and 0
+outside, so with positive shoelace area both winding flags hold without
+probing.  When a collision is found or the area is not positive, the
+grid runs and lists its witnesses as before.
 """
 
 from __future__ import annotations
@@ -142,40 +150,64 @@ def check_turn_directions(D: BoundaryDecomposition) -> Verdict:
     return Verdict(Status.NET, (), {"turn_directions": True})
 
 
-def _pairwise_segment_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All-pairs distances between segments A[i]->B[i] and A[j]->B[j].
+def _candidate_pairs(A: np.ndarray, B: np.ndarray, margin: float) -> tuple:
+    """Index pairs (i < j) of segments whose bounding boxes, each grown by
+    ``margin``, overlap.
+
+    Broad phase of the contact check: the boxes are sorted by left edge
+    and every box is paired with the later ones that start before it
+    ends (argsort plus searchsorted), then pairs are filtered by their
+    y-extents.  Nearly horizontal boundaries have short x-extents, so
+    few pairs survive.
+    """
+    lo = np.minimum(A, B) - margin
+    hi = np.maximum(A, B) + margin
+    order = np.argsort(lo[:, 0])
+    xlo, xhi = lo[order, 0], hi[order, 0]
+    stop = np.searchsorted(xlo, xhi, side="right")
+    counts = np.maximum(stop - np.arange(1, len(order) + 1), 0)
+    first = np.repeat(np.arange(len(order)), counts)
+    offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    p, q = order[first], order[first + 1 + offset]
+    keep = (lo[q, 1] <= hi[p, 1]) & (lo[p, 1] <= hi[q, 1])
+    p, q = p[keep], q[keep]
+    return np.minimum(p, q), np.maximum(p, q)
+
+
+def _segment_pair_distances(A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Distances between segments A[I[k]]->B[I[k]] and A[J[k]]->B[J[k]].
 
     Zero where a pair crosses transversally, else the minimum of the four
     endpoint-to-segment distances.  Vectorized counterpart of
     geometry.segment_distance.
     """
-    m = len(A)
     D = B - A
 
     def cross(v, w):
         return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
 
-    Ai = A[:, None, :]
-    Di = D[:, None, :]
-    o1 = cross(Di, A[None, :, :] - Ai)
-    o2 = cross(Di, B[None, :, :] - Ai)
+    o1 = cross(D[I], A[J] - A[I])
+    o2 = cross(D[I], B[J] - A[I])
+    o1t = cross(D[J], A[I] - A[J])
+    o2t = cross(D[J], B[I] - A[J])
     proper = (
         ((o1 > 0) != (o2 > 0))
-        & ((o1.T > 0) != (o2.T > 0))
-        & (o1 != 0) & (o2 != 0) & (o1.T != 0) & (o2.T != 0)
+        & ((o1t > 0) != (o2t > 0))
+        & (o1 != 0) & (o2 != 0) & (o1t != 0) & (o2t != 0)
     )
+    L2 = np.maximum((D * D).sum(axis=1), 1e-300)
 
-    def point_to_segs(P):
-        # P[j] against segment i: (m, m) distances
-        rel = P[None, :, :] - A[:, None, :]
-        L2 = np.maximum((D * D).sum(axis=1), 1e-300)
-        t = np.clip((rel * D[:, None, :]).sum(axis=2) / L2[:, None], 0.0, 1.0)
-        closest = A[:, None, :] + t[..., None] * D[:, None, :]
-        return np.linalg.norm(P[None, :, :] - closest, axis=2)
+    def point_to_segs(P, S):
+        # P[k] against segment S[k]
+        rel = P - A[S]
+        t = np.clip((rel * D[S]).sum(axis=1) / L2[S], 0.0, 1.0)
+        closest = A[S] + t[:, None] * D[S]
+        return np.linalg.norm(P - closest, axis=1)
 
-    PA = point_to_segs(A)  # PA[i, j] = distance of endpoint A_j to segment i
-    PB = point_to_segs(B)
-    dist = np.minimum(np.minimum(PA, PB), np.minimum(PA.T, PB.T))
+    dist = np.minimum(
+        np.minimum(point_to_segs(A[J], I), point_to_segs(B[J], I)),
+        np.minimum(point_to_segs(A[I], J), point_to_segs(B[I], J)),
+    )
     return np.where(proper, 0.0, dist)
 
 
@@ -187,6 +219,12 @@ def polyline_self_intersections(points: Sequence, closed: bool) -> list:
     are ordered by discovery along the traversal (the first one is where
     a pen tracing the curve first touches ink), matching how a first
     self-contact would be located while drawing the boundary.
+
+    Only pairs whose bounding boxes come within the contact tolerance are
+    measured.  The boxes are grown by EPS plus a rounding allowance
+    relative to the coordinate magnitude, so every pair whose computed
+    endpoint-to-segment distances can reach EPS is among them, and pairs
+    with disjoint boxes, which cannot cross, are never read as crossing.
     """
     pts = [(float(p[0]), float(p[1])) for p in points]
     m = len(pts) if closed else len(pts) - 1
@@ -196,23 +234,30 @@ def polyline_self_intersections(points: Sequence, closed: bool) -> list:
 
     A = np.array([seg(i)[0] for i in range(m)])
     B = np.array([seg(i)[1] for i in range(m)])
-    dist = _pairwise_segment_distances(A, B)
+    scale = float(np.abs(np.array(pts)).max())
+    I, J = _candidate_pairs(A, B, EPS + 64.0 * np.finfo(float).eps * scale)
+    consecutive = (I + 1 == J) | (closed & (I == 0) & (J == m - 1))
+    I, J = I[~consecutive], J[~consecutive]
+    near = ~(_segment_pair_distances(A, B, I, J) > EPS)
+    hits = list(zip(I[near].tolist(), J[near].tolist()))
+
+    # consecutive pairs by (j, i), so a degenerate segment raises at the
+    # same pair as in a walk over all pairs
+    adjacent = [(j - 1, j) for j in range(1, m)]
+    if closed and m > 2:
+        adjacent.insert(-1, (0, m - 1))
+    for i, j in adjacent:
+        a1, a2 = seg(i)
+        b1, b2 = seg(j)
+        if segments_intersect(a1, a2, b1, b2, EndpointPolicy.EXCLUDE_SHARED_ENDPOINT):
+            hits.append((i, j))
 
     raw = []
-    for j in range(m):
-        for i in range(j):
-            consecutive = i + 1 == j or (closed and i == 0 and j == m - 1)
-            a1, a2 = seg(i)
-            b1, b2 = seg(j)
-            if consecutive:
-                hit = segments_intersect(a1, a2, b1, b2, EndpointPolicy.EXCLUDE_SHARED_ENDPOINT)
-            elif dist[i, j] > EPS:
-                continue
-            else:
-                hit = True
-            if hit:
-                point, t = crossing_point(a1, a2, b1, b2)
-                raw.append((j, t, i, point))
+    for i, j in hits:
+        a1, a2 = seg(i)
+        b1, b2 = seg(j)
+        point, t = crossing_point(a1, a2, b1, b2)
+        raw.append((j, t, i, point))
     raw.sort()
     return [Witness(seg_a=i, seg_b=j, point=point) for j, t, i, point in raw]
 
@@ -287,22 +332,23 @@ def winding_injectivity_check(
     extra = np.asarray(list(extra_points), dtype=float).reshape(-1, 2)
     if len(extra):
         probes = np.vstack([probes, extra])
-    keep = _distance_mask(pts, probes, EPS)
-    probes = probes[keep]
     w = _winding_grid(pts, probes)
+    # only probes with a winding outside {0, 1} can change the verdict,
+    # so only they are measured against the curve
+    bad = np.flatnonzero((w < 0) | (w > 1))
+    bad = bad[_distance_mask(pts, probes[bad], EPS)]
 
     checks = {
-        "winding_in_0_1": bool(((w == 0) | (w == 1)).all()),
-        "ccw_orientation": bool((w >= 0).all()),
+        "winding_in_0_1": len(bad) == 0,
+        "ccw_orientation": bool((w[bad] >= 0).all()),
     }
     if checks["winding_in_0_1"]:
         return Verdict(Status.NET, (), checks)
     witnesses = tuple(
         Witness(point=(float(p[0]), float(p[1])), note=f"winding={int(k)}")
-        for p, k in zip(probes, w)
-        if k < 0 or k > 1
+        for p, k in zip(probes[bad], w[bad])
     )
-    status = Status.OVERLAP if int(w.max()) > 1 else Status.PRECONDITION_FAILURE
+    status = Status.OVERLAP if int(w[bad].max()) > 1 else Status.PRECONDITION_FAILURE
     return Verdict(status, witnesses, checks)
 
 
@@ -368,6 +414,13 @@ def check_arm_conclusion(u: Sequence, v: Sequence) -> bool:
 # -- full certification ----------------------------------------------------
 
 
+def _signed_area(points: Sequence) -> float:
+    """Shoelace signed area of a closed polyline (positive when counterclockwise)."""
+    pts = np.asarray(points, dtype=float)
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+
+
 def certify_boundary(B: BoundaryCurve, interior_probes: Iterable = ()) -> Verdict:
     """Run the full check stack on a boundary polyline.
 
@@ -401,7 +454,12 @@ def certify_boundary(B: BoundaryCurve, interior_probes: Iterable = ()) -> Verdic
     checks.update(self_int.checks)
     witnesses.extend(self_int.witnesses)
 
-    winding = winding_injectivity_check(B, extra_points=interior_probes)
+    if self_int.ok and _signed_area(B.points) > 0.0:
+        # a contact-free boundary is a simple polygon, whose winding number
+        # is sign(area) inside and 0 outside: the grid cannot fail
+        winding = Verdict(Status.NET, (), {"winding_in_0_1": True, "ccw_orientation": True})
+    else:
+        winding = winding_injectivity_check(B, extra_points=interior_probes)
     checks.update(winding.checks)
     witnesses.extend(winding.witnesses)
 

@@ -1,0 +1,154 @@
+"""Reference certificate: the dense all-pairs contact check and the
+always-on winding grid.
+
+The library's ``verify.certify_boundary`` measures only segment pairs
+whose bounding boxes come within the tolerance, and skips the winding
+grid on contact-free counterclockwise boundaries.  This module keeps the
+exhaustive form both shortcuts must agree with, verdict for verdict and
+witness for witness.
+"""
+
+import numpy as np
+
+from stretchnet.errors import VerticalSegment
+from stretchnet.geometry import EPS, EndpointPolicy, crossing_point, segments_intersect
+from stretchnet.verdict import Status, Verdict, Witness
+from stretchnet.verify import (
+    TILT_BOUND,
+    _distance_mask,
+    _winding_grid,
+    check_turn_directions,
+    decompose_boundary,
+)
+
+
+def pairwise_segment_distances(A, B):
+    """All-pairs distances between segments A[i]->B[i] and A[j]->B[j]:
+    zero where a pair crosses transversally, else the minimum of the four
+    endpoint-to-segment distances."""
+    D = B - A
+
+    def cross(v, w):
+        return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+
+    Ai = A[:, None, :]
+    Di = D[:, None, :]
+    o1 = cross(Di, A[None, :, :] - Ai)
+    o2 = cross(Di, B[None, :, :] - Ai)
+    proper = (
+        ((o1 > 0) != (o2 > 0))
+        & ((o1.T > 0) != (o2.T > 0))
+        & (o1 != 0) & (o2 != 0) & (o1.T != 0) & (o2.T != 0)
+    )
+
+    def point_to_segs(P):
+        rel = P[None, :, :] - A[:, None, :]
+        L2 = np.maximum((D * D).sum(axis=1), 1e-300)
+        t = np.clip((rel * D[:, None, :]).sum(axis=2) / L2[:, None], 0.0, 1.0)
+        closest = A[:, None, :] + t[..., None] * D[:, None, :]
+        return np.linalg.norm(P[None, :, :] - closest, axis=2)
+
+    PA = point_to_segs(A)
+    PB = point_to_segs(B)
+    dist = np.minimum(np.minimum(PA, PB), np.minimum(PA.T, PB.T))
+    return np.where(proper, 0.0, dist)
+
+
+def polyline_self_intersections(points, closed):
+    """Every pair of segments measured, witnesses in traversal order."""
+    pts = [(float(p[0]), float(p[1])) for p in points]
+    m = len(pts) if closed else len(pts) - 1
+
+    def seg(i):
+        return pts[i], pts[(i + 1) % len(pts)]
+
+    A = np.array([seg(i)[0] for i in range(m)])
+    B = np.array([seg(i)[1] for i in range(m)])
+    dist = pairwise_segment_distances(A, B)
+
+    raw = []
+    for j in range(m):
+        for i in range(j):
+            consecutive = i + 1 == j or (closed and i == 0 and j == m - 1)
+            a1, a2 = seg(i)
+            b1, b2 = seg(j)
+            if consecutive:
+                hit = segments_intersect(a1, a2, b1, b2, EndpointPolicy.EXCLUDE_SHARED_ENDPOINT)
+            elif dist[i, j] > EPS:
+                continue
+            else:
+                hit = True
+            if hit:
+                point, t = crossing_point(a1, a2, b1, b2)
+                raw.append((j, t, i, point))
+    raw.sort()
+    return [Witness(seg_a=i, seg_b=j, point=point) for j, t, i, point in raw]
+
+
+def winding_injectivity_check(B, samples=64, extra_points=()):
+    """Every probe farther than EPS from the curve is wound around."""
+    pts = np.asarray(B.points, dtype=float)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], samples), np.linspace(lo[1], hi[1], samples))
+    probes = np.column_stack([gx.ravel(), gy.ravel()])
+    extra = np.asarray(list(extra_points), dtype=float).reshape(-1, 2)
+    if len(extra):
+        probes = np.vstack([probes, extra])
+    probes = probes[_distance_mask(pts, probes, EPS)]
+    w = _winding_grid(pts, probes)
+
+    checks = {
+        "winding_in_0_1": bool(((w == 0) | (w == 1)).all()),
+        "ccw_orientation": bool((w >= 0).all()),
+    }
+    if checks["winding_in_0_1"]:
+        return Verdict(Status.NET, (), checks)
+    witnesses = tuple(
+        Witness(point=(float(p[0]), float(p[1])), note=f"winding={int(k)}")
+        for p, k in zip(probes, w)
+        if k < 0 or k > 1
+    )
+    status = Status.OVERLAP if int(w.max()) > 1 else Status.PRECONDITION_FAILURE
+    return Verdict(status, witnesses, checks)
+
+
+def certify_boundary(B, interior_probes=()):
+    """The full check stack with every check always run."""
+    checks = {}
+    witnesses = []
+
+    decomposition = None
+    try:
+        decomposition = decompose_boundary(B)
+        checks["boundary_decomposition"] = decomposition.alternating
+        if not decomposition.alternating:
+            witnesses.append(Witness(note="runs do not alternate rightward/leftward"))
+    except VerticalSegment as exc:
+        checks["boundary_decomposition"] = False
+        witnesses.append(Witness(note=str(exc)))
+
+    if decomposition is not None:
+        checks["segment_tilt"] = decomposition.max_tilt < TILT_BOUND
+        if not checks["segment_tilt"]:
+            witnesses.append(
+                Witness(note=f"segment tilt {decomposition.max_tilt!r} exceeds pi/10")
+            )
+        turn = check_turn_directions(decomposition)
+        checks.update(turn.checks)
+        witnesses.extend(turn.witnesses)
+
+    contacts = polyline_self_intersections(B.points, closed=True)
+    checks["self_intersection"] = not contacts
+    witnesses.extend(contacts)
+
+    winding = winding_injectivity_check(B, extra_points=interior_probes)
+    checks.update(winding.checks)
+    witnesses.extend(winding.witnesses)
+
+    if contacts or winding.status is Status.OVERLAP:
+        status = Status.OVERLAP
+    elif all(checks.values()):
+        status = Status.NET
+    else:
+        status = Status.PRECONDITION_FAILURE
+    return Verdict(status, tuple(witnesses), checks)

@@ -175,3 +175,18 @@ def test_unfold_eps_env_override():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1e-06"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+def test_unfold_eps_env_rejected(value):
+    # a tolerance that is not a positive finite number stops the import
+    # with a message naming the variable
+    proc = subprocess.run(
+        [sys.executable, "-c", "import stretchnet"],
+        capture_output=True,
+        text=True,
+        env=child_env(UNFOLD_EPS=value),
+    )
+    assert proc.returncode != 0
+    assert "ValueError: UNFOLD_EPS must be a positive finite number" in proc.stderr
+    assert repr(value) in proc.stderr

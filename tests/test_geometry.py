@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from stretchnet.errors import DegenerateDirection, DegenerateSegment, PointOnBoundary
 from stretchnet.geometry import (
@@ -72,6 +72,7 @@ def test_orient2d_basic():
 
 
 @given(coord, coord, coord)
+@example((0.0, 1e-9), (1.0, -1.0), (0.0, 0.0))
 def test_orient2d_antisymmetry(a, b, c):
     assert orient2d(a, b, c) == -orient2d(b, a, c)
     assert orient2d(a, b, c) == -orient2d(a, c, b)

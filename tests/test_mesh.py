@@ -202,3 +202,48 @@ def test_flat_doubly_covered_square_rejected():
     faces = [(0, 1, 2, 3), (3, 2, 1, 0)]
     with pytest.raises((NotConvex, NotClosed, ValueError)):
         Polyhedron.build(np.array(verts, float), faces)
+
+
+def faces_by_plane_scan(points, tol=1e-8):
+    """Reference for shapes.faces_from_hull: every hull triangle is compared
+    with the first plane of each group found so far (quadratic in F)."""
+    from scipy.spatial import ConvexHull
+
+    pts = np.asarray(points, dtype=float)
+    hull = ConvexHull(pts)
+    groups = []
+    for simplex, eq in zip(hull.simplices, hull.equations):
+        a, b, c = (int(i) for i in simplex)
+        if float(np.cross(pts[b] - pts[a], pts[c] - pts[a]) @ eq[:3]) < 0.0:
+            b, c = c, b
+        for geq, members in groups:
+            if np.abs(geq - eq).max() <= tol:
+                members.append((a, b, c))
+                break
+        else:
+            groups.append((eq, [(a, b, c)]))
+    faces = []
+    for _, members in groups:
+        edges = {(u, v) for a, b, c in members for u, v in ((a, b), (b, c), (c, a))}
+        nxt = {u: v for u, v in edges if (v, u) not in edges}
+        cycle = [min(nxt)]
+        while nxt[cycle[-1]] != cycle[0]:
+            cycle.append(nxt[cycle[-1]])
+        faces.append(tuple(cycle))
+    return faces
+
+
+def sphere_points(n, seed):
+    # the points shapes.random_hull(n, seed) takes the hull of
+    pts = np.random.default_rng(seed).normal(size=(n, 3))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [P.vertices for P in shapes.platonic_solids().values()]
+    + [sphere_points(6 + seed % 5, seed) for seed in range(20)]
+    + [sphere_points(200, 0)],
+)
+def test_faces_from_hull_matches_plane_scan(points):
+    assert shapes.faces_from_hull(points) == faces_by_plane_scan(points)

@@ -111,6 +111,15 @@ def test_polyline_open_vs_closed():
     assert polyline_self_intersections(pts, closed=True)
 
 
+def test_polyline_disjoint_collinear_segments():
+    # four corners on one line, in order: rounding makes each pair's
+    # orientation signs noise, which once read as a proper crossing of
+    # segments 0 and 2, more than 2 apart
+    d = (0.8210951084789369, 1e-09)
+    pts = [(s * d[0], s * d[1]) for s in (17 / 97, 90 / 97, 369 / 97, 503 / 97)]
+    assert polyline_self_intersections(pts, closed=False) == []
+
+
 def test_winding_injectivity_simple_ccw():
     verdict = winding_injectivity_check(synthetic_boundary(FLAT_HEXAGON))
     assert verdict.ok
