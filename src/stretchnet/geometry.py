@@ -20,7 +20,6 @@ from typing import Sequence
 from .errors import DegenerateDirection, DegenerateSegment, PointOnBoundary
 
 Vec2 = Sequence[float]
-Vec3 = Sequence[float]
 
 
 def _eps_from_env() -> float:
@@ -113,7 +112,14 @@ def point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
 
 
 def _proper_crossing(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> bool:
-    """True when the open segments cross transversally (exact float signs)."""
+    """True when the open segments cross transversally (exact float signs).
+
+    Segments with disjoint bounding boxes never do, whatever the rounded
+    signs of (nearly) collinear segments say.
+    """
+    for k in (0, 1):
+        if max(p1[k], p2[k]) < min(q1[k], q2[k]) or max(q1[k], q2[k]) < min(p1[k], p2[k]):
+            return False
     o1 = orient_raw(p1, p2, q1)
     o2 = orient_raw(p1, p2, q2)
     o3 = orient_raw(q1, q2, p1)

@@ -1,17 +1,24 @@
 """Convex polyhedron representation, OFF I/O, and intrinsic angles.
 
-A Polyhedron is immutable after construction and validated up front:
-closed orientable surface with sphere topology, planar convex faces
-oriented counterclockwise as seen from outside, every vertex an extreme
-point of the hull, and total intrinsic angle below 2*pi at each vertex.
-Coordinates are normalized to unit bounding-box diameter on ingestion.
+A Polyhedron is immutable after construction and validated once, on
+ingestion: closed orientable surface with sphere topology, planar convex
+faces oriented counterclockwise as seen from outside, every vertex an
+extreme point of the hull, and total intrinsic angle below 2*pi at each
+vertex.  Coordinates are normalized to unit bounding-box diameter.
+Validation is vectorised over flat per-corner arrays, with one Newell
+normal per face and the plane test run in blocks of faces.  A linear map
+with positive determinant preserves every validated property, so
+``Polyhedron.transformed`` shares the combinatorics and maps only the
+vertices; vertex-derived data is computed on first use, once per mesh.
 """
 
 from __future__ import annotations
 
-import math
+import copy
+import itertools
 import warnings
-from typing import IO, Mapping, Union
+from functools import cached_property
+from typing import IO, Mapping, NamedTuple, Union
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -27,6 +34,32 @@ from .errors import (
 )
 from .geometry import EPS, TWO_PI
 
+#: Largest number of vertex-plane distances the plane test holds at once.
+_PLANE_BLOCK = 1 << 18
+
+#: Cached attributes that depend on the vertex coordinates.
+_VERTEX_CACHES = ("corner_angles", "cone_angles", "face_points3d", "face_frames")
+
+
+class Corners(NamedTuple):
+    """Flat per-corner arrays of a face list, faces in order, corners in cycle order."""
+
+    face: np.ndarray    # face id of each corner
+    vertex: np.ndarray  # vertex id of each corner
+    next: np.ndarray    # next corner of the same face
+    prev: np.ndarray    # previous corner of the same face
+    start: np.ndarray   # first corner of each face
+
+
+def _corners(cycles) -> Corners:
+    sizes = np.fromiter(map(len, cycles), dtype=np.intp, count=len(cycles))
+    start = np.cumsum(sizes) - sizes
+    vertex = np.fromiter(itertools.chain.from_iterable(cycles), dtype=np.intp, count=int(sizes.sum()))
+    face = np.repeat(np.arange(len(cycles)), sizes)
+    first, k = start[face], sizes[face]
+    pos = np.arange(len(vertex)) - first
+    return Corners(face, vertex, first + (pos + 1) % k, first + (pos - 1) % k, start)
+
 
 class Polyhedron:
     """Validated convex mesh with derived edge and half-edge structure.
@@ -37,6 +70,7 @@ class Polyhedron:
     faces : tuple of vertex-index cycles, counterclockwise from outside.
     edges : tuple of (u, v) pairs with u < v, sorted.
     edge_faces : per edge, the pair of incident face indices.
+    corners : flat per-corner arrays of ``faces`` (see ``Corners``).
     n_edges : edge count (the N of the stretch bound pi / (20 N)).
     """
 
@@ -56,6 +90,7 @@ class Polyhedron:
         Faces may arrive with inconsistent winding; each cycle is
         reoriented to counterclockwise-from-outside using the body
         centroid, then rotated so its smallest vertex index comes first.
+        The first failing face (or vertex) is named in the exception.
         """
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 3:
@@ -88,40 +123,67 @@ class Polyhedron:
         diameter = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
         tol = EPS * diameter
 
-        oriented = []
-        for i, cyc in enumerate(cycles):
-            pts = verts[list(cyc)]
-            normal = _newell_normal(pts)
-            nrm = np.linalg.norm(normal)
-            if nrm <= tol:
+        c = _corners(cycles)
+        pts, nxt = verts[c.vertex], verts[c.vertex[c.next]]
+        d, s = pts - nxt, pts + nxt
+        terms = (d[:, 1] * s[:, 2], d[:, 2] * s[:, 0], d[:, 0] * s[:, 1])  # Newell normal
+        normal = np.stack([np.bincount(c.face, weights=t) for t in terms], axis=1)
+        nrm = np.sqrt((normal * normal).sum(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            normal = normal / nrm[:, None]
+            mean = np.stack([np.bincount(c.face, weights=pts[:, j]) for j in range(3)], axis=1)
+            mean = mean / np.diff(np.append(c.start, len(pts)))[:, None]
+            # planarity: residual against the plane through the corner mean
+            dev = np.maximum.reduceat(np.abs(((pts - mean[c.face]) * normal[c.face]).sum(axis=1)), c.start)
+            side = ((mean - centroid) * normal).sum(axis=1)
+            # convexity: every corner turns the way of the face's own normal
+            turn = np.cross(pts - verts[c.vertex[c.prev]], nxt - pts)
+            concave = np.minimum.reduceat((turn * normal[c.face]).sum(axis=1), c.start) < -tol
+        bad = np.flatnonzero((nrm <= tol) | (dev > tol) | (np.abs(side) <= tol) | concave)
+        if bad.size:
+            i = int(bad[0])
+            if nrm[i] <= tol:
                 raise NonPlanarFace(f"face {i} is degenerate (zero area)")
-            normal = normal / nrm
-            # planarity: residual against the best-fit plane
-            rel = pts - pts.mean(axis=0)
-            dev = float(np.abs(rel @ normal).max())
-            if dev > tol:
-                raise NonPlanarFace(f"face {i} deviates {dev:.3e} from planar (tol {tol:.3e})")
-            side = float(normal @ (pts.mean(axis=0) - centroid))
-            if abs(side) <= tol:
+            if dev[i] > tol:
+                raise NonPlanarFace(f"face {i} deviates {dev[i]:.3e} from planar (tol {tol:.3e})")
+            if abs(side[i]) <= tol:
                 raise NotConvex(f"face {i} passes through the body centroid")
-            if side < 0.0:
-                cyc = tuple(reversed(cyc))
-                normal = -normal
-            if not _face_is_convex(verts[list(cyc)], normal, tol):
-                raise ValueError(f"face {i} is not a convex polygon")
+            raise ValueError(f"face {i} is not a convex polygon")
+
+        oriented = []
+        for cyc, flip in zip(cycles, (side < 0.0).tolist()):
+            if flip:
+                cyc = cyc[::-1]
             k = cyc.index(min(cyc))
             oriented.append(cyc[k:] + cyc[:k])
 
         poly = cls(verts, tuple(oriented), _validated=True)
-        poly._validate(tol)
+        poly._validate(tol, np.where(side < 0.0, -1.0, 1.0)[:, None] * normal)
         return poly
+
+    def transformed(self, M) -> "Polyhedron":
+        """Image under the linear map ``M`` (``v -> M v``), not validated again.
+
+        A positive determinant keeps convexity, planarity, orientation and
+        the combinatorics, so faces, edges, half-edges and adjacency are
+        shared; any other map raises ValueError.
+        """
+        M = np.asarray(M, dtype=float)
+        if M.shape != (3, 3) or not np.isfinite(M).all():
+            raise ValueError("linear map must be a finite 3x3 matrix")
+        det = float(np.linalg.det(M))
+        if not det > 0.0:
+            raise ValueError(f"linear map must have positive determinant, got {det!r}")
+        Q = copy.copy(self)
+        Q.vertices = self.vertices @ M.T
+        for name in _VERTEX_CACHES:
+            Q.__dict__.pop(name, None)
+        return Q
 
     def _derive(self):
         half: dict[tuple[int, int], tuple[int, int]] = {}
         for fi, cyc in enumerate(self.faces):
-            k = len(cyc)
-            for pos in range(k):
-                a, b = cyc[pos], cyc[(pos + 1) % k]
+            for pos, (a, b) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
                 if (a, b) in half:
                     raise NotClosed(f"directed edge {a}->{b} appears twice (inconsistent orientation)")
                 half[(a, b)] = (fi, pos)
@@ -140,34 +202,33 @@ class Polyhedron:
             adj[a].add(b)
             adj[b].add(a)
         self.adjacency = tuple(tuple(sorted(s)) for s in adj)
+        self.corners = _corners(self.faces)
 
-    def _validate(self, tol: float):
+    def _validate(self, tol: float, normals: np.ndarray):
+        """Global checks; ``normals`` are the outward unit face normals."""
         nv, ne, nf = len(self.vertices), len(self.edges), len(self.faces)
         if nv - ne + nf != 2:
             raise NotClosed(f"Euler characteristic V-E+F = {nv - ne + nf}, expected 2")
         if any(len(a) == 0 for a in self.adjacency):
             raise NotClosed("isolated vertex")
-        # connectivity of the edge graph
-        seen = {0}
-        stack = [0]
+        seen, stack = {0}, [0]
         while stack:
-            v = stack.pop()
-            for u in self.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
+            new = set(self.adjacency[stack.pop()]) - seen
+            seen |= new
+            stack.extend(new)
         if len(seen) != nv:
             raise NotClosed("edge graph is disconnected")
 
         # convexity: every vertex inside (or on) every face's supporting plane
-        for fi, cyc in enumerate(self.faces):
-            pts = self.vertices[list(cyc)]
-            normal = _newell_normal(pts)
-            normal = normal / np.linalg.norm(normal)
-            offset = float(normal @ pts[0])
-            worst = float((self.vertices @ normal).max()) - offset
-            if worst > tol:
-                raise NotConvex(f"a vertex lies {worst:.3e} outside the plane of face {fi}")
+        offset = (normals * self.vertices[self.corners.vertex[self.corners.start]]).sum(axis=1)
+        block = max(1, _PLANE_BLOCK // nv)
+        for lo in range(0, nf, block):
+            worst = (self.vertices @ normals[lo : lo + block].T).max(axis=0) - offset[lo : lo + block]
+            out = np.flatnonzero(worst > tol)
+            if out.size:
+                raise NotConvex(
+                    f"a vertex lies {worst[out[0]]:.3e} outside the plane of face {lo + int(out[0])}"
+                )
 
         # every vertex is an extreme point of the hull
         try:
@@ -179,21 +240,50 @@ class Polyhedron:
             raise NotConvex(f"vertices {missing} are not extreme points of the hull")
 
         # positive curvature at every vertex
-        for v in range(nv):
-            if self.cone_angle(v) >= TWO_PI - EPS:
-                raise NotConvex(f"vertex {v} has total intrinsic angle >= 2*pi")
+        flat = np.flatnonzero(self.cone_angles >= TWO_PI - EPS)
+        if flat.size:
+            raise NotConvex(f"vertex {int(flat[0])} has total intrinsic angle >= 2*pi")
 
         # accepted but reported: coplanar neighbors across an edge
-        for e, (f, g) in zip(self.edges, self.edge_faces):
-            nf_ = _newell_normal(self.vertices[list(self.faces[f])])
-            ng_ = _newell_normal(self.vertices[list(self.faces[g])])
-            cosang = float(nf_ @ ng_ / (np.linalg.norm(nf_) * np.linalg.norm(ng_)))
-            if cosang >= 1.0 - 1e-12:
-                warnings.warn(
-                    f"faces {f} and {g} are coplanar across edge {e}; kept unmerged",
-                    CoplanarFacesWarning,
-                    stacklevel=3,
-                )
+        f, g = np.array(self.edge_faces).T
+        for i in np.flatnonzero((normals[f] * normals[g]).sum(axis=1) >= 1.0 - 1e-12):
+            warnings.warn(
+                f"faces {f[i]} and {g[i]} are coplanar across edge {self.edges[i]}; kept unmerged",
+                CoplanarFacesWarning,
+                stacklevel=3,
+            )
+
+    # -- vertex-derived data, computed once per mesh ---------------------
+
+    @cached_property
+    def corner_angles(self) -> np.ndarray:
+        """Interior angle at every corner, indexed like ``corners``."""
+        c = self.corners
+        p = self.vertices[c.vertex]
+        u = self.vertices[c.vertex[c.next]] - p
+        w = self.vertices[c.vertex[c.prev]] - p
+        # atan2 form stays accurate for the tiny angles of stretched slivers
+        return np.arctan2(np.linalg.norm(np.cross(u, w), axis=1), (u * w).sum(axis=1))
+
+    @cached_property
+    def cone_angles(self) -> np.ndarray:
+        """Total intrinsic angle around every vertex."""
+        return np.bincount(self.corners.vertex, weights=self.corner_angles, minlength=len(self.vertices))
+
+    @cached_property
+    def face_points3d(self) -> tuple:
+        """Per face, the read-only (k, 3) array of its corner coordinates."""
+        pts = self.vertices[self.corners.vertex]
+        pts.flags.writeable = False
+        return tuple(np.split(pts, self.corners.start[1:]))
+
+    @cached_property
+    def face_frames(self) -> tuple:
+        """Per face, its isometric 2D coordinates (``local_coords``), read-only."""
+        frames = tuple(local_coords(p) for p in self.face_points3d)
+        for fr in frames:
+            fr.flags.writeable = False
+        return frames
 
     # -- queries -------------------------------------------------------
 
@@ -221,12 +311,7 @@ class Polyhedron:
 
     def corner_angle(self, face: int, pos: int) -> float:
         """Interior angle of ``face`` at cycle position ``pos``."""
-        cyc = self.faces[face]
-        k = len(cyc)
-        p = self.vertices[cyc[pos]]
-        u = self.vertices[cyc[(pos + 1) % k]] - p
-        w = self.vertices[cyc[(pos - 1) % k]] - p
-        return _angle_between(u, w)
+        return float(self.corner_angles[self.corners.start[face] + pos % len(self.faces[face])])
 
     def ccw_neighbor(self, a: int, b: int) -> tuple[int, int]:
         """From edge a->b, the next neighbor of ``a`` counterclockwise (seen from outside).
@@ -255,37 +340,32 @@ class Polyhedron:
 
     def cone_angle(self, a: int) -> float:
         """Total intrinsic angle around vertex ``a``."""
-        total = 0.0
-        for fi, cyc in enumerate(self.faces):
-            if a in cyc:
-                total += self.corner_angle(fi, cyc.index(a))
-        return total
+        return float(self.cone_angles[a])
 
 
-def _newell_normal(pts: np.ndarray) -> np.ndarray:
-    nxt = np.roll(pts, -1, axis=0)
-    return np.array(
-        [
-            float(((pts[:, 1] - nxt[:, 1]) * (pts[:, 2] + nxt[:, 2])).sum()),
-            float(((pts[:, 2] - nxt[:, 2]) * (pts[:, 0] + nxt[:, 0])).sum()),
-            float(((pts[:, 0] - nxt[:, 0]) * (pts[:, 1] + nxt[:, 1])).sum()),
-        ]
-    )
+def local_coords(pts3d: np.ndarray) -> np.ndarray:
+    """Isometric 2D coordinates of a planar face, orientation preserved.
+
+    The basis is chosen right-handed with respect to the outward normal,
+    so a counterclockwise-from-outside cycle stays counterclockwise.
+    """
+    origin = pts3d[0]
+    u = pts3d[1] - origin
+    u = u / np.linalg.norm(u)
+    n = _cross3(u, pts3d[2] - origin)
+    for q in pts3d[3:]:
+        if np.linalg.norm(n) > 1e-12 * np.linalg.norm(q - origin):
+            break
+        n = _cross3(u, q - origin)
+    n = n / np.linalg.norm(n)
+    w = _cross3(n, u)
+    rel = pts3d - origin
+    return np.stack([rel @ u, rel @ w], axis=1)
 
 
-def _face_is_convex(pts: np.ndarray, normal: np.ndarray, tol: float) -> bool:
-    k = len(pts)
-    for i in range(k):
-        u = pts[(i + 1) % k] - pts[i]
-        w = pts[(i + 2) % k] - pts[(i + 1) % k]
-        if float(np.cross(u, w) @ normal) < -tol:
-            return False
-    return True
-
-
-def _angle_between(u: np.ndarray, w: np.ndarray) -> float:
-    # atan2 form stays accurate for the tiny angles of stretched slivers
-    return math.atan2(float(np.linalg.norm(np.cross(u, w))), float(u @ w))
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.cross's own products and differences, without its per-call overhead
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
 
 
 # -- OFF format ---------------------------------------------------------
@@ -298,18 +378,12 @@ def load_off(source: Union[str, bytes, IO]) -> Polyhedron:
     field is ignored and recomputed.  Comment lines (``#``) and blank
     lines are skipped.  Parse failures report the 1-based line number.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
+    text = source.read() if hasattr(source, "read") else source
     if isinstance(text, bytes):
         text = text.decode("utf-8")
 
-    lines = []  # (lineno, payload)
-    for no, raw in enumerate(text.splitlines(), start=1):
-        payload = raw.split("#", 1)[0].strip()
-        if payload:
-            lines.append((no, payload))
+    lines = [(no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(no, payload) for no, payload in lines if payload]
 
     if not lines:
         raise OffParseError(1, "empty input")
@@ -404,12 +478,12 @@ def check_alexandrov(P: Polyhedron) -> vd.Verdict:
     Equivalently, for every pair of edges ab, ac the two intrinsic angles
     between them sum below 2*pi.  Returns a witness triple on violation.
     """
-    for a in range(P.n_vertices):
-        cone = P.cone_angle(a)
-        if cone >= TWO_PI - EPS:
-            star = P.vertex_star(a)
-            w = vd.Witness(note=f"vertex {a}: angle {cone!r} via edges to {star[0]} and {star[1 % len(star)]}")
-            return vd.Verdict(vd.Status.PRECONDITION_FAILURE, (w,), {"alexandrov": False})
+    flat = np.flatnonzero(P.cone_angles >= TWO_PI - EPS)
+    if flat.size:
+        a = int(flat[0])
+        star = P.vertex_star(a)
+        w = vd.Witness(note=f"vertex {a}: angle {P.cone_angle(a)!r} via edges to {star[0]} and {star[1 % len(star)]}")
+        return vd.Verdict(vd.Status.PRECONDITION_FAILURE, (w,), {"alexandrov": False})
     return vd.Verdict(vd.Status.NET, (), {"alexandrov": True})
 
 

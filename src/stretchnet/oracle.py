@@ -15,12 +15,13 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import shapes
+from .geometry import EPS
 from .mesh import Polyhedron
 from .transform import apply_linear, choose_rotation, default_theta_max, required_lambda, rotate
-from .tree import SpanningTree, enumerate_spanning_trees, is_increasing
-from .unfold import cut, develop
+from .tree import SpanningTree, enumerate_spanning_trees, is_increasing, vertex_order
+from .unfold import boundary_curve, cut, develop
 from .verdict import Status, Verdict
-from .verify import certify_net
+from .verify import _distance_mask, _winding_grid, certify_net, face_centroids
 
 
 @dataclass(frozen=True)
@@ -51,30 +52,21 @@ def census(
     R = choose_rotation(P, seed=seed) if rotate_first else np.eye(3)
     P_rot = rotate(P, R) if rotate_first else P
 
-    resolved = []
-    for lam in lambdas:
-        if lam == "auto":
-            resolved.append(required_lambda(P_rot, theta))
-        else:
-            resolved.append(float(lam))
+    resolved = [required_lambda(P_rot, theta) if lam == "auto" else float(lam) for lam in lambdas]
 
     trees = list(enumerate_spanning_trees(P, cap=cap))
     rows = []
     for lam in resolved:
         Q = apply_linear(P, R, lam) if (rotate_first or lam != 1.0) else P
+        root = vertex_order(Q).z_max
         for tid, T in enumerate(trees):
-            rooted = SpanningTree.from_edges(Q.n_vertices, T.edges, _xmax(Q))
+            rooted = SpanningTree.from_edges(Q.n_vertices, T.edges, root)
             layout = develop(cut(Q, rooted))
             verdict = certify_net(layout)
             rows.append(
                 CensusRow(tid, is_increasing(Q, rooted), verdict.status, len(verdict.witnesses), lam)
             )
     return rows
-
-
-def _xmax(Q: Polyhedron) -> int:
-    keys = [(float(x), i) for i, x in enumerate(Q.x)]
-    return max(range(len(keys)), key=keys.__getitem__)
 
 
 def census_csv(rows: Sequence[CensusRow]) -> str:
@@ -189,16 +181,7 @@ def find_overlap_tetrahedron(
 
 
 def _covers_a_centroid(layout) -> bool:
-    from .errors import PointOnBoundary
-    from .geometry import winding_number
-    from .unfold import boundary_curve
-    from .verify import face_centroids
-
-    B = boundary_curve(layout)
-    for c in face_centroids(layout):
-        try:
-            if winding_number(B.points, c) >= 2:
-                return True
-        except PointOnBoundary:
-            continue
-    return False
+    """Whether some face centroid off the boundary has winding number >= 2."""
+    pts = np.asarray(boundary_curve(layout).points, dtype=float)
+    c = np.asarray(face_centroids(layout), dtype=float)
+    return bool(((_winding_grid(pts, c) >= 2) & _distance_mask(pts, c, EPS)).any())

@@ -119,13 +119,12 @@ def required_lambda(P_rotated: Polyhedron, theta_max: float) -> float:
 
 
 def rotate(P: Polyhedron, R: np.ndarray) -> Polyhedron:
-    return Polyhedron.build(P.vertices @ np.asarray(R, dtype=float).T, P.faces, normalize=False)
+    return P.transformed(R)
 
 
 def apply_linear(P: Polyhedron, R: np.ndarray, lam: float) -> Polyhedron:
-    """Apply diag(lam,1,1) . R to the vertices and revalidate (no renormalize)."""
-    M = np.diag([lam, 1.0, 1.0]) @ np.asarray(R, dtype=float)
-    return Polyhedron.build(P.vertices @ M.T, P.faces, normalize=False)
+    """Apply diag(lam,1,1) . R to the vertices (no renormalize, no revalidation)."""
+    return P.transformed(np.diag([lam, 1.0, 1.0]) @ np.asarray(R, dtype=float))
 
 
 def apply_stretch(P: Polyhedron, S: Stretch) -> Polyhedron:

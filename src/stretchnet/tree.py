@@ -30,9 +30,6 @@ class VertexOrder:
     y_min: int
     z_max: int
 
-    def le(self, u: int, v: int) -> bool:
-        return self.keys[u][0] <= self.keys[v][0]
-
 
 def vertex_order(P: Polyhedron) -> VertexOrder:
     keys = tuple((float(x), i) for i, x in enumerate(P.x))
@@ -124,6 +121,17 @@ def rightward_neighbors(Q: Polyhedron) -> tuple:
     )
 
 
+def _rightward_choices(Q: Polyhedron) -> tuple:
+    """(root, non-root vertices, rightward neighbors); NoRightwardEdge if one has none."""
+    root = vertex_order(Q).z_max
+    rw = rightward_neighbors(Q)
+    vs = [v for v in range(Q.n_vertices) if v != root]
+    for v in vs:
+        if not rw[v]:
+            raise NoRightwardEdge(f"vertex {v} has no neighbor with larger x")
+    return root, vs, rw
+
+
 def build_increasing_tree(
     Q: Polyhedron, rule: TieRule = TieRule.STEEPEST_ASCENT, seed: int = 0
 ) -> SpanningTree:
@@ -134,18 +142,12 @@ def build_increasing_tree(
     result is automatically acyclic and rooted.  Raises NoRightwardEdge
     when some vertex has none, which signals insufficient stretching.
     """
-    order = vertex_order(Q)
-    root = order.z_max
+    root, vs, rw = _rightward_choices(Q)
     x = Q.x
     rng = np.random.default_rng(seed) if rule is TieRule.RANDOM else None
-    parent = [0] * Q.n_vertices
-    parent[root] = root
-    for v in range(Q.n_vertices):
-        if v == root:
-            continue
-        options = [u for u in Q.adjacency[v] if x[u] > x[v]]
-        if not options:
-            raise NoRightwardEdge(f"vertex {v} has no neighbor with larger x")
+    parent = [root] * Q.n_vertices
+    for v in vs:
+        options = rw[v]
         if rule is TieRule.STEEPEST_ASCENT:
             parent[v] = max(options, key=lambda u: (x[u], -u))
         elif rule is TieRule.FIRST_BY_INDEX:
@@ -163,29 +165,15 @@ def is_increasing(Q: Polyhedron, T: SpanningTree) -> bool:
 
 def count_increasing_trees(Q: Polyhedron) -> int:
     """Product over non-root vertices of their strictly-rightward degree."""
-    root = vertex_order(Q).z_max
-    rw = rightward_neighbors(Q)
-    total = 1
-    for v in range(Q.n_vertices):
-        if v == root:
-            continue
-        if not rw[v]:
-            raise NoRightwardEdge(f"vertex {v} has no neighbor with larger x")
-        total *= len(rw[v])
-    return total
+    _, vs, rw = _rightward_choices(Q)
+    return math.prod(len(rw[v]) for v in vs)
 
 
 def enumerate_increasing_trees(Q: Polyhedron) -> Iterator[SpanningTree]:
     """All increasing trees, in deterministic parent-choice order."""
-    root = vertex_order(Q).z_max
-    rw = rightward_neighbors(Q)
-    vs = [v for v in range(Q.n_vertices) if v != root]
-    for v in vs:
-        if not rw[v]:
-            raise NoRightwardEdge(f"vertex {v} has no neighbor with larger x")
+    root, vs, rw = _rightward_choices(Q)
     for combo in itertools.product(*(rw[v] for v in vs)):
-        parent = [0] * Q.n_vertices
-        parent[root] = root
+        parent = [root] * Q.n_vertices
         for v, p in zip(vs, combo):
             parent[v] = p
         yield SpanningTree(root, tuple(parent))
@@ -193,18 +181,14 @@ def enumerate_increasing_trees(Q: Polyhedron) -> Iterator[SpanningTree]:
 
 def sample_increasing_trees(Q: Polyhedron, k: int, seed: int = 0) -> list[SpanningTree]:
     """Up to ``k`` distinct increasing trees; exhaustive when fewer exist."""
-    total = count_increasing_trees(Q)
-    if total <= k:
+    root, vs, rw = _rightward_choices(Q)
+    if math.prod(len(rw[v]) for v in vs) <= k:
         return list(enumerate_increasing_trees(Q))
-    root = vertex_order(Q).z_max
-    rw = rightward_neighbors(Q)
-    vs = [v for v in range(Q.n_vertices) if v != root]
     rng = np.random.default_rng(seed)
     seen = set()
     out = []
     while len(out) < k:
-        parent = [0] * Q.n_vertices
-        parent[root] = root
+        parent = [root] * Q.n_vertices
         for v in vs:
             parent[v] = int(rw[v][rng.integers(len(rw[v]))])
         key = tuple(parent)
@@ -220,14 +204,12 @@ def sample_increasing_trees(Q: Polyhedron, k: int, seed: int = 0) -> list[Spanni
 def _connected(n_labels: int, labels: list, edges: list) -> bool:
     if n_labels == 1:
         return True
-    reps = {}
     adj: dict[int, set[int]] = {}
     for _, u, v in edges:
         lu, lv = labels[u], labels[v]
         adj.setdefault(lu, set()).add(lv)
         adj.setdefault(lv, set()).add(lu)
-        reps[lu] = reps[lv] = True
-    if len(reps) != n_labels:
+    if len(adj) != n_labels:
         return False
     start = next(iter(adj))
     seen = {start}

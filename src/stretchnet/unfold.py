@@ -11,13 +11,14 @@ polyline with the two copies of each cut edge marked as duals.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import IO, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import CompatibilityFailure, NotSpanningTree
-from .mesh import Polyhedron
+from .mesh import Polyhedron, local_coords
 from .tree import SpanningTree, vertex_order
 
 #: Fold-edge placement disagreement above this aborts development; it is
@@ -41,13 +42,14 @@ class CutSurface:
     """Faces of the mesh with each edge flagged cut (tree) or fold."""
 
     faces: tuple                    # vertex cycles
-    face_points3d: tuple            # per face, (k, 3) coordinate array
+    face_points3d: tuple            # per face, (k, 3) coordinate array (the mesh's own, read-only)
     cut_edges: frozenset
     fold_edges: frozenset
     fold_adjacency: dict            # fold edge -> ((face_a, pos_a), (face_b, pos_b))
     boundary: tuple                 # BoundaryEdge cycle, counterclockwise from a copy of the minimal vertex
     tree: Optional[SpanningTree] = None
     root_vertex: Optional[int] = None
+    mesh: Optional[Polyhedron] = None  # source of face_points3d and its cached frames
 
 
 @dataclass
@@ -56,7 +58,6 @@ class PlanarLayout:
 
     surface: CutSurface
     face_points: list               # per face, list of (x, y) corner images
-    transforms: list                # per face, (cos, sin, tx, ty)
     root_face: int
     max_fold_mismatch: float
     y_prime: Optional[tuple] = None  # image of the minimal vertex at the boundary start
@@ -113,29 +114,8 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
     _check_spanning(Q, T)
     cut_set = frozenset(T.edges)
     fold_set = frozenset(e for e in Q.edges if e not in cut_set)
-
-    fold_adjacency = {}
-    for e in fold_set:
-        u, v = e
-        fa = Q.half[(u, v)]
-        fb = Q.half[(v, u)]
-        fold_adjacency[e] = (fa, fb)
-
-    # The fold edges must connect all faces (their dual graph is a tree).
-    seen = {0}
-    stack = [0]
-    adj_faces: dict[int, list[int]] = {}
-    for e, ((fa, _), (fb, _)) in fold_adjacency.items():
-        adj_faces.setdefault(fa, []).append(fb)
-        adj_faces.setdefault(fb, []).append(fa)
-    while stack:
-        f = stack.pop()
-        for g in adj_faces.get(f, ()):
-            if g not in seen:
-                seen.add(g)
-                stack.append(g)
-    if len(seen) != Q.n_faces:
-        raise NotSpanningTree("fold edges do not connect all faces")
+    # fold edges of a spanning tree connect all faces; the walk below rejects other cut sets
+    fold_adjacency = {(u, v): (Q.half[(u, v)], Q.half[(v, u)]) for u, v in fold_set}
 
     def next_in_face(face: int, pos: int) -> tuple[int, int]:
         return face, (pos + 1) % len(Q.faces[face])
@@ -153,10 +133,7 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
             f, p = next_in_face(*Q.half[(b, a)])
 
     # collect all boundary half-edges and walk the single cycle
-    remaining = set()
-    for u, v in cut_set:
-        remaining.add(Q.half[(u, v)])
-        remaining.add(Q.half[(v, u)])
+    remaining = {Q.half[h] for u, v in cut_set for h in ((u, v), (v, u))}
     walk = [min(remaining)]
     remaining.discard(walk[0])
     while True:
@@ -175,9 +152,7 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
         )
 
     order = vertex_order(Q)
-    candidates = [
-        i for i, (f, p) in enumerate(walk) if Q.faces[f][p] == order.y_min
-    ]
+    candidates = [i for i, (f, p) in enumerate(walk) if Q.faces[f][p] == order.y_min]
     shift = min(candidates, key=lambda i: walk[i])
     walk = walk[shift:] + walk[:shift]
 
@@ -191,41 +166,19 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
 
     return CutSurface(
         faces=Q.faces,
-        face_points3d=tuple(Q.vertices[list(c)].copy() for c in Q.faces),
+        face_points3d=Q.face_points3d,
         cut_edges=cut_set,
         fold_edges=fold_set,
         fold_adjacency=fold_adjacency,
         boundary=tuple(records),
         tree=T,
         root_vertex=order.z_max,
+        mesh=Q,
     )
 
 
-def _local_coords(pts3d: np.ndarray) -> np.ndarray:
-    """Isometric 2D coordinates of a planar face, orientation preserved.
-
-    The basis is chosen right-handed with respect to the outward normal,
-    so a counterclockwise-from-outside cycle stays counterclockwise.
-    """
-    origin = pts3d[0]
-    u = pts3d[1] - origin
-    u = u / np.linalg.norm(u)
-    n = np.cross(u, pts3d[2] - origin)
-    for q in pts3d[3:]:
-        if np.linalg.norm(n) > 1e-12 * np.linalg.norm(q - origin):
-            break
-        n = np.cross(u, q - origin)
-    n = n / np.linalg.norm(n)
-    w = np.cross(n, u)
-    rel = pts3d - origin
-    return np.stack([rel @ u, rel @ w], axis=1)
-
-
 def _default_root_face(S: CutSurface) -> int:
-    if S.root_vertex is None:
-        return 0
-    incident = [f for f, cyc in enumerate(S.faces) if S.root_vertex in cyc]
-    return min(incident) if incident else 0
+    return next((f for f, cyc in enumerate(S.faces) if S.root_vertex in cyc), 0)
 
 
 def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
@@ -241,10 +194,16 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     Raises CompatibilityFailure when a fold edge's two placements
     disagree beyond COMPAT_TOL, which signals accumulated numerical
     error or an invalid surface.
+
+    Face frames come from the mesh's cache when ``S.face_points3d`` is
+    the mesh's own tuple, and are recomputed otherwise.
     """
     n_faces = len(S.faces)
     root = _default_root_face(S) if root_face is None else root_face
-    local = [_local_coords(p) for p in S.face_points3d]
+    if S.mesh is not None and S.face_points3d is S.mesh.face_points3d:
+        local = S.mesh.face_frames
+    else:
+        local = [local_coords(p) for p in S.face_points3d]
 
     neighbors: dict[int, list[tuple]] = {f: [] for f in range(n_faces)}
     for e, ((fa, pa), (fb, pb)) in S.fold_adjacency.items():
@@ -253,11 +212,9 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     for f in neighbors:
         neighbors[f].sort()
 
-    placed: list = [None] * n_faces
     face_points: list = [None] * n_faces
 
     def place(f: int, cos_s: float, sin_s: float, tx: float, ty: float):
-        placed[f] = (cos_s, sin_s, tx, ty)
         pts = local[f]
         xs = cos_s * pts[:, 0] - sin_s * pts[:, 1] + tx
         ys = sin_s * pts[:, 0] + cos_s * pts[:, 1] + ty
@@ -271,10 +228,10 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     place(root, c, s, -(c * l0[0] - s * l0[1]), -(s * l0[0] + c * l0[1]))
 
     max_mismatch = 0.0
-    queue = [root]
+    queue = deque([root])
     seen = {root}
     while queue:
-        f = queue.pop(0)
+        f = queue.popleft()
         for g, e in neighbors[f]:
             if g in seen:
                 continue
@@ -313,7 +270,6 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     return PlanarLayout(
         surface=S,
         face_points=face_points,
-        transforms=placed,
         root_face=root,
         max_fold_mismatch=max_mismatch,
         y_prime=y_prime,

@@ -109,6 +109,16 @@ def test_segment_distance_touching():
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 
+def test_disjoint_collinear_segments_do_not_cross():
+    # four corners on one line, in order: the float orientation signs of
+    # segments 0 and 2 are rounding noise and once read as a crossing
+    d = (0.8210951084789369, 1e-09)
+    a, b, c, e = [(s * d[0], s * d[1]) for s in (17 / 97, 90 / 97, 369 / 97, 503 / 97)]
+    for p1, p2, q1, q2 in ((a, b, c, e), (c, e, a, b)):
+        assert segment_distance(p1, p2, q1, q2) == pytest.approx(2.3617, abs=1e-4)
+        assert not segments_intersect(p1, p2, q1, q2)
+
+
 def test_winding_square():
     assert winding_number(UNIT_SQUARE, (0.5, 0.5)) == 1
     assert winding_number(UNIT_SQUARE, (5, 5)) == 0
