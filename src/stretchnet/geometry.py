@@ -1,8 +1,10 @@
-"""Scalar/vector primitives, angle arithmetic, and tolerant 2D predicates.
+"""Angle arithmetic and tolerant 2D predicates.
 
-All coordinates are plain floats; 2D points are any indexable pair.  A
-single absolute tolerance ``EPS`` governs collinearity, point-on-segment
-and point-on-curve decisions.  Meshes are rescaled to unit bounding-box
+Each contact and winding predicate is written once, as an array kernel
+over segment pairs or sample points; the certificate, the arm oracle and
+the scalar functions here all call the same kernels.  A single absolute
+tolerance ``EPS`` governs collinearity, point-on-segment and
+point-on-curve decisions.  Meshes are rescaled to unit bounding-box
 diameter on load, so one absolute epsilon is adequate everywhere.  The
 ``UNFOLD_EPS`` environment variable overrides it (testing only); any
 value but a positive finite number raises ValueError at import.
@@ -16,6 +18,8 @@ import math
 import os
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DegenerateDirection, DegenerateSegment, PointOnBoundary
 
@@ -98,57 +102,166 @@ def orient2d(a: Vec2, b: Vec2, c: Vec2) -> int:
     return 1 if (d > 0.0) == even else -1
 
 
-def point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
-    """Euclidean distance from ``p`` to the closed segment ab."""
-    ax, ay = float(a[0]), float(a[1])
-    dx, dy = float(b[0]) - ax, float(b[1]) - ay
-    px, py = float(p[0]) - ax, float(p[1]) - ay
-    L2 = dx * dx + dy * dy
-    if L2 == 0.0:
-        return math.hypot(px, py)
-    t = (px * dx + py * dy) / L2
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    return math.hypot(px - t * dx, py - t * dy)
+# -- contact and winding kernels -------------------------------------------
+
+#: Segment-sample pairs measured at once by the winding and distance
+#: kernels, which bounds their memory on long curves with many samples.
+_BLOCK = 1 << 14
 
 
-def _proper_crossing(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> bool:
-    """True when the open segments cross transversally (exact float signs).
+def _cross(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
 
-    Segments with disjoint bounding boxes never do, whatever the rounded
-    signs of (nearly) collinear segments say.
+
+def point_segment_distances(P: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euclidean distances from points ``P`` to the closed segments ``A``->``B``.
+
+    The arrays broadcast against each other; their last axis holds x and
+    y.  A zero-length segment measures the distance to its point.
     """
-    for k in (0, 1):
-        if max(p1[k], p2[k]) < min(q1[k], q2[k]) or max(q1[k], q2[k]) < min(p1[k], p2[k]):
-            return False
-    o1 = orient_raw(p1, p2, q1)
-    o2 = orient_raw(p1, p2, q2)
-    o3 = orient_raw(q1, q2, p1)
-    o4 = orient_raw(q1, q2, p2)
-    if o1 == 0.0 or o2 == 0.0 or o3 == 0.0 or o4 == 0.0:
-        return False
-    return (o1 > 0.0) != (o2 > 0.0) and (o3 > 0.0) != (o4 > 0.0)
+    D = B - A
+    L2 = np.maximum((D * D).sum(axis=-1), 1e-300)
+    t = np.clip(((P - A) * D).sum(axis=-1) / L2, 0.0, 1.0)
+    E = P - (A + t[..., None] * D)
+    return np.sqrt((E * E).sum(axis=-1))
+
+
+def segment_pair_contacts(
+    A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray, exclude_shared=False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distance, proper-crossing flag and EPS contact of each pair of
+    segments ``A[I]->B[I]`` and ``A[J]->B[J]``.
+
+    A pair crosses properly when the open segments cross transversally by
+    the exact float orientation signs and their bounding boxes meet: the
+    rounded signs of (nearly) collinear segments can read as a crossing,
+    but segments with disjoint boxes cannot cross.  The distance is 0 for
+    a proper crossing, else the least endpoint-to-segment distance.
+
+    A pair is in contact when its distance is at most EPS.  Where
+    ``exclude_shared`` holds (one flag, or one per pair), a single shared
+    endpoint is forgiven: the pair is in contact only if a free endpoint
+    lies within EPS of the other segment, as in a collinear doubling-back.
+    Two shared endpoints make the same segment, which is in contact.
+    Segment lengths are not checked here; see require_segment_lengths.
+    """
+    p1, p2, q1, q2 = A[I], B[I], A[J], B[J]
+    dp, dq = p2 - p1, q2 - q1
+    o1, o2 = _cross(dp, q1 - p1), _cross(dp, q2 - p1)
+    o3, o4 = _cross(dq, p1 - q1), _cross(dq, p2 - q1)
+    boxes_meet = (
+        (np.maximum(p1, p2) >= np.minimum(q1, q2)) & (np.maximum(q1, q2) >= np.minimum(p1, p2))
+    ).all(axis=-1)
+    proper = boxes_meet & ((o1 > 0.0) != (o2 > 0.0)) & ((o3 > 0.0) != (o4 > 0.0))
+    proper &= (o1 != 0.0) & (o2 != 0.0) & (o3 != 0.0) & (o4 != 0.0)
+    del dp, dq, o1, o2, o3, o4, boxes_meet  # bound the peak on long pair lists
+    d_q1, d_q2 = point_segment_distances(q1, p1, p2), point_segment_distances(q2, p1, p2)
+    d_p1, d_p2 = point_segment_distances(p1, q1, q2), point_segment_distances(p2, q1, q2)
+    dist = np.where(proper, 0.0, np.minimum(np.minimum(d_q1, d_q2), np.minimum(d_p1, d_p2)))
+
+    c11, c12, c21, c22 = (np.hypot(*(p - q).T) <= EPS for p in (p1, p2) for q in (q1, q2))
+    shared = c11.astype(int) + c12 + c21 + c22
+    free_touch = (np.where(c11 | c12, d_p2, d_p1) <= EPS) | (np.where(c11 | c21, d_q2, d_q1) <= EPS)
+    contact = np.where(exclude_shared & (shared > 0), (shared > 1) | free_touch, dist <= EPS)
+    return dist, proper, contact
+
+
+def require_segment_lengths(
+    ends: Sequence, A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray
+) -> None:
+    """Raise DegenerateSegment at the first pair ``(I[k], J[k])`` holding a
+    segment no longer than EPS, naming its first such segment by its
+    endpoints ``ends[s]`` as the caller gave them."""
+    short = np.hypot(*(B - A).T) <= EPS
+    bad = np.flatnonzero(short[I] | short[J])
+    if len(bad):
+        k = bad[0]
+        a, b = ends[I[k] if short[I[k]] else J[k]]
+        raise DegenerateSegment(f"segment {a}-{b} has near-zero length")
+
+
+def _segment_blocks(starts: np.ndarray, ends: np.ndarray, n_samples: int):
+    """Segments ``starts``->``ends`` in blocks of shape (k, 1, 2) that
+    broadcast against ``n_samples`` samples."""
+    step = max(1, _BLOCK // max(1, n_samples))
+    for lo in range(0, len(starts), step):
+        yield starts[lo : lo + step, None], ends[lo : lo + step, None]
+
+
+def winding_numbers(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Winding numbers of the closed polyline ``points`` around each sample.
+
+    Signed crossings of the rightward horizontal ray are counted with the
+    half-open rule (the ray height is treated as infinitesimally below
+    its nominal value), which resolves vertices lying exactly on the ray
+    without explicit perturbation.  The count is meaningless for samples
+    on the curve; callers drop them with curve_distances.
+    """
+    w = np.zeros(len(samples), dtype=int)
+    px, py = samples[:, 0], samples[:, 1]
+    ends = np.roll(points, -1, axis=0)
+    rising = points[:, 1] <= ends[:, 1]
+    # a rising segment crossing the ray counts +1 with the sample on its
+    # left, a falling one -1 with the sample on its right
+    for sign, group in ((1, rising), (-1, ~rising)):
+        for s, t in _segment_blocks(points[group], ends[group], len(samples)):
+            sx, sy, tx, ty = s[..., 0], s[..., 1], t[..., 0], t[..., 1]
+            left = (tx - sx) * (py - sy) - (px - sx) * (ty - sy)
+            w += sign * (((sy <= py) != (ty <= py)) & (sign * left > 0.0)).sum(axis=0)
+    return w
+
+
+def curve_distances(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Distance from each sample to the closed polyline ``points``."""
+    d = np.full(len(samples), np.inf)
+    for s, t in _segment_blocks(points, np.roll(points, -1, axis=0), len(samples)):
+        d = np.minimum(d, point_segment_distances(samples, s, t).min(axis=0))
+    return d
+
+
+# -- scalar wrappers ---------------------------------------------------------
+
+_ONE_PAIR = (np.array([0]), np.array([1]))
 
 
 def segment_distance(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> float:
     """Minimum distance between two closed segments (0 when they cross)."""
-    if _proper_crossing(p1, p2, q1, q2):
-        return 0.0
-    return min(
-        point_segment_distance(p1, q1, q2),
-        point_segment_distance(p2, q1, q2),
-        point_segment_distance(q1, p1, p2),
-        point_segment_distance(q2, p1, p2),
-    )
+    A, B = np.array([p1, q1], dtype=float), np.array([p2, q2], dtype=float)
+    return float(segment_pair_contacts(A, B, *_ONE_PAIR)[0][0])
 
 
-def crossing_point(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> tuple[tuple[float, float], float]:
+def segments_intersect(
+    p1: Vec2,
+    p2: Vec2,
+    q1: Vec2,
+    q2: Vec2,
+    policy: EndpointPolicy = EndpointPolicy.INCLUDE,
+) -> bool:
+    """Whether two closed segments meet, within EPS.
+
+    Contacts within EPS count as intersections (conservative).  Under
+    EXCLUDE_SHARED_ENDPOINT a single shared endpoint is forgiven: the
+    segments intersect only if they also touch away from that endpoint
+    (e.g. a collinear doubling-back).
+    """
+    A, B = np.array([p1, q1], dtype=float), np.array([p2, q2], dtype=float)
+    require_segment_lengths(((p1, p2), (q1, q2)), A, B, *_ONE_PAIR)
+    exclude = policy is EndpointPolicy.EXCLUDE_SHARED_ENDPOINT
+    return bool(segment_pair_contacts(A, B, *_ONE_PAIR, exclude)[2][0])
+
+
+def crossing_point(
+    p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2, proper: bool
+) -> tuple[tuple[float, float], float]:
     """Representative contact point of two intersecting/touching segments.
 
-    Returns (point, t) where t is the parameter of the point along q1->q2.
-    For a transversal crossing this is the exact line intersection; for
-    touching contacts it is the midpoint of the closest pair.
+    ``proper`` is the pair's proper-crossing flag from
+    segment_pair_contacts.  Returns (point, t) where t is the parameter of
+    the point along q1->q2.  For a transversal crossing this is the exact
+    line intersection; for touching contacts it is the midpoint of the
+    closest pair.
     """
-    if _proper_crossing(p1, p2, q1, q2):
+    if proper:
         d = orient_raw(q1, q2, p1) - orient_raw(q1, q2, p2)
         s = orient_raw(q1, q2, p1) / d
         x = p1[0] + s * (p2[0] - p1[0])
@@ -179,80 +292,21 @@ def crossing_point(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> tuple[tuple[float,
     return best[1], best[2]
 
 
-def _close(a: Vec2, b: Vec2) -> bool:
-    return math.hypot(a[0] - b[0], a[1] - b[1]) <= EPS
-
-
-def segments_intersect(
-    p1: Vec2,
-    p2: Vec2,
-    q1: Vec2,
-    q2: Vec2,
-    policy: EndpointPolicy = EndpointPolicy.INCLUDE,
-) -> bool:
-    """Whether two closed segments meet, within EPS.
-
-    Contacts within EPS count as intersections (conservative).  Under
-    EXCLUDE_SHARED_ENDPOINT a single shared endpoint is forgiven: the
-    segments intersect only if they also touch away from that endpoint
-    (e.g. a collinear doubling-back).
-    """
-    if math.hypot(p2[0] - p1[0], p2[1] - p1[1]) <= EPS:
-        raise DegenerateSegment(f"segment {p1}-{p2} has near-zero length")
-    if math.hypot(q2[0] - q1[0], q2[1] - q1[1]) <= EPS:
-        raise DegenerateSegment(f"segment {q1}-{q2} has near-zero length")
-
-    if policy is EndpointPolicy.EXCLUDE_SHARED_ENDPOINT:
-        shared = [
-            (p_other, q_other)
-            for (p_at, p_other) in ((p1, p2), (p2, p1))
-            for (q_at, q_other) in ((q1, q2), (q2, q1))
-            if _close(p_at, q_at)
-        ]
-        if len(shared) >= 2:
-            return True  # identical (or reversed) segments
-        if len(shared) == 1:
-            p_other, q_other = shared[0]
-            # Any contact beyond the shared endpoint shows up as one free
-            # endpoint lying on the other segment.
-            return (
-                point_segment_distance(p_other, q1, q2) <= EPS
-                or point_segment_distance(q_other, p1, p2) <= EPS
-            )
-    return segment_distance(p1, p2, q1, q2) <= EPS
-
-
-def _as_cycle(polyline: Sequence[Vec2]) -> list[tuple[float, float]]:
-    pts = [(float(p[0]), float(p[1])) for p in polyline]
-    if len(pts) >= 2 and _close(pts[0], pts[-1]):
-        pts.pop()
-    if len(pts) < 3:
-        raise ValueError("closed polyline needs at least 3 distinct points")
-    return pts
-
-
 def winding_number(polyline: Sequence[Vec2], p: Vec2) -> int:
     """Winding number of a closed polyline around ``p``.
 
-    Signed crossings of the rightward horizontal ray are counted with the
-    half-open rule (the ray height is treated as infinitesimally below
-    its nominal value), which resolves vertices lying exactly on the ray
-    without explicit perturbation.  Raises PointOnBoundary when ``p`` is
-    within EPS of the curve, where the winding number is undefined.
+    A last point within EPS of the first closes the curve and is dropped.
+    Raises PointOnBoundary when ``p`` is within EPS of the curve, where
+    the winding number is undefined, and ValueError for fewer than three
+    distinct points.  See winding_numbers for the crossing rule.
     """
-    pts = _as_cycle(polyline)
-    n = len(pts)
+    pts = np.array([(float(q[0]), float(q[1])) for q in polyline]).reshape(-1, 2)
+    if len(pts) >= 2 and math.hypot(*(pts[0] - pts[-1])) <= EPS:
+        pts = pts[:-1]
+    if len(pts) < 3:
+        raise ValueError("closed polyline needs at least 3 distinct points")
     px, py = float(p[0]), float(p[1])
-    for i in range(n):
-        if point_segment_distance((px, py), pts[i], pts[(i + 1) % n]) <= EPS:
-            raise PointOnBoundary(f"point {(px, py)} lies on the curve")
-    w = 0
-    for i in range(n):
-        sx, sy = pts[i]
-        tx, ty = pts[(i + 1) % n]
-        if sy <= py:
-            if ty > py and orient_raw((sx, sy), (tx, ty), (px, py)) > 0.0:
-                w += 1
-        elif ty <= py and orient_raw((sx, sy), (tx, ty), (px, py)) < 0.0:
-            w -= 1
-    return w
+    sample = np.array([[px, py]])
+    if curve_distances(pts, sample)[0] <= EPS:
+        raise PointOnBoundary(f"point {(px, py)} lies on the curve")
+    return int(winding_numbers(pts, sample)[0])

@@ -15,13 +15,13 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import shapes
-from .geometry import EPS
+from .geometry import EPS, curve_distances, winding_numbers
 from .mesh import Polyhedron
 from .transform import apply_linear, choose_rotation, default_theta_max, required_lambda, rotate
 from .tree import SpanningTree, enumerate_spanning_trees, is_increasing, vertex_order
 from .unfold import boundary_curve, cut, develop
 from .verdict import Status, Verdict
-from .verify import _distance_mask, _winding_grid, certify_net, face_centroids
+from .verify import certify_net, face_centroids
 
 
 @dataclass(frozen=True)
@@ -184,4 +184,4 @@ def _covers_a_centroid(layout) -> bool:
     """Whether some face centroid off the boundary has winding number >= 2."""
     pts = np.asarray(boundary_curve(layout).points, dtype=float)
     c = np.asarray(face_centroids(layout), dtype=float)
-    return bool(((_winding_grid(pts, c) >= 2) & _distance_mask(pts, c, EPS)).any())
+    return bool(((winding_numbers(pts, c) >= 2) & (curve_distances(pts, c) > EPS)).any())

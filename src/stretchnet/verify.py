@@ -15,7 +15,8 @@ grid runs only when it can fail: a boundary with no collision is a
 simple closed polygon, whose winding number is sign(area) inside and 0
 outside, so with positive shoelace area both winding flags hold without
 probing.  When a collision is found or the area is not positive, the
-grid runs and lists its witnesses as before.
+grid runs and lists its witnesses as before.  Both checks, and the arm
+oracles, decide contacts and windings with ``geometry``'s array kernels.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ import numpy as np
 from .errors import LengthMismatch, VerticalSegment
 from .geometry import (
     EPS,
-    EndpointPolicy,
     arg,
     crossing_point,
+    curve_distances,
     normalize_angle,
-    segments_intersect,
+    require_segment_lengths,
+    segment_pair_contacts,
+    winding_numbers,
 )
 from .unfold import BoundaryCurve, PlanarLayout, boundary_curve
 from .verdict import Status, Verdict, Witness
@@ -174,43 +177,6 @@ def _candidate_pairs(A: np.ndarray, B: np.ndarray, margin: float) -> tuple:
     return np.minimum(p, q), np.maximum(p, q)
 
 
-def _segment_pair_distances(A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Distances between segments A[I[k]]->B[I[k]] and A[J[k]]->B[J[k]].
-
-    Zero where a pair crosses transversally, else the minimum of the four
-    endpoint-to-segment distances.  Vectorized counterpart of
-    geometry.segment_distance.
-    """
-    D = B - A
-
-    def cross(v, w):
-        return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
-
-    o1 = cross(D[I], A[J] - A[I])
-    o2 = cross(D[I], B[J] - A[I])
-    o1t = cross(D[J], A[I] - A[J])
-    o2t = cross(D[J], B[I] - A[J])
-    proper = (
-        ((o1 > 0) != (o2 > 0))
-        & ((o1t > 0) != (o2t > 0))
-        & (o1 != 0) & (o2 != 0) & (o1t != 0) & (o2t != 0)
-    )
-    L2 = np.maximum((D * D).sum(axis=1), 1e-300)
-
-    def point_to_segs(P, S):
-        # P[k] against segment S[k]
-        rel = P - A[S]
-        t = np.clip((rel * D[S]).sum(axis=1) / L2[S], 0.0, 1.0)
-        closest = A[S] + t[:, None] * D[S]
-        return np.linalg.norm(P - closest, axis=1)
-
-    dist = np.minimum(
-        np.minimum(point_to_segs(A[J], I), point_to_segs(B[J], I)),
-        np.minimum(point_to_segs(A[I], J), point_to_segs(B[I], J)),
-    )
-    return np.where(proper, 0.0, dist)
-
-
 def polyline_self_intersections(points: Sequence, closed: bool) -> list:
     """Witnesses for all illegal contacts of a polyline with itself.
 
@@ -223,40 +189,34 @@ def polyline_self_intersections(points: Sequence, closed: bool) -> list:
     Only pairs whose bounding boxes come within the contact tolerance are
     measured.  The boxes are grown by EPS plus a rounding allowance
     relative to the coordinate magnitude, so every pair whose computed
-    endpoint-to-segment distances can reach EPS is among them, and pairs
-    with disjoint boxes, which cannot cross, are never read as crossing.
+    endpoint-to-segment distances can reach EPS is among them.  Grown
+    boxes can overlap where the segments' own boxes are disjoint; the
+    contact kernel's bounding-box guard keeps such a pair from being read
+    as crossing.
     """
     pts = [(float(p[0]), float(p[1])) for p in points]
     m = len(pts) if closed else len(pts) - 1
-
-    def seg(i):
-        return pts[i], pts[(i + 1) % len(pts)]
-
-    A = np.array([seg(i)[0] for i in range(m)])
-    B = np.array([seg(i)[1] for i in range(m)])
+    ends = [(pts[i], pts[(i + 1) % len(pts)]) for i in range(m)]
+    A = np.array([a for a, _ in ends])
+    B = np.array([b for _, b in ends])
     scale = float(np.abs(np.array(pts)).max())
     I, J = _candidate_pairs(A, B, EPS + 64.0 * np.finfo(float).eps * scale)
     consecutive = (I + 1 == J) | (closed & (I == 0) & (J == m - 1))
     I, J = I[~consecutive], J[~consecutive]
-    near = ~(_segment_pair_distances(A, B, I, J) > EPS)
-    hits = list(zip(I[near].tolist(), J[near].tolist()))
 
-    # consecutive pairs by (j, i), so a degenerate segment raises at the
-    # same pair as in a walk over all pairs
-    adjacent = [(j - 1, j) for j in range(1, m)]
+    # consecutive pairs, which cover every segment, so the lowest-numbered
+    # degenerate segment raises, as in a walk over all pairs
+    Ia, Ja = np.arange(m - 1), np.arange(1, m)
     if closed and m > 2:
-        adjacent.insert(-1, (0, m - 1))
-    for i, j in adjacent:
-        a1, a2 = seg(i)
-        b1, b2 = seg(j)
-        if segments_intersect(a1, a2, b1, b2, EndpointPolicy.EXCLUDE_SHARED_ENDPOINT):
-            hits.append((i, j))
+        Ia, Ja = np.append(Ia, 0), np.append(Ja, m - 1)
+    require_segment_lengths(ends, A, B, Ia, Ja)
 
+    exclude = np.repeat([False, True], [len(I), len(Ia)])
+    I, J = np.concatenate([I, Ia]), np.concatenate([J, Ja])
+    _, proper, hit = segment_pair_contacts(A, B, I, J, exclude)
     raw = []
-    for i, j in hits:
-        a1, a2 = seg(i)
-        b1, b2 = seg(j)
-        point, t = crossing_point(a1, a2, b1, b2)
+    for i, j, crossing in zip(I[hit].tolist(), J[hit].tolist(), proper[hit].tolist()):
+        point, t = crossing_point(*ends[i], *ends[j], crossing)
         raw.append((j, t, i, point))
     raw.sort()
     return [Witness(seg_a=i, seg_b=j, point=point) for j, t, i, point in raw]
@@ -274,43 +234,6 @@ def check_self_intersection(B: BoundaryCurve) -> Verdict:
     if witnesses:
         return Verdict(Status.OVERLAP, tuple(witnesses), {"self_intersection": False})
     return Verdict(Status.NET, (), {"self_intersection": True})
-
-
-def _winding_grid(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Winding numbers of a closed polyline around many sample points.
-
-    Vectorized version of the half-open crossing rule used by
-    geometry.winding_number; both must agree segment for segment.
-    """
-    w = np.zeros(len(samples), dtype=int)
-    px, py = samples[:, 0], samples[:, 1]
-    n = len(points)
-    for i in range(n):
-        sx, sy = points[i]
-        tx, ty = points[(i + 1) % n]
-        left = (tx - sx) * (py - sy) - (px - sx) * (ty - sy)
-        if sy <= ty:
-            w += ((sy <= py) & (ty > py) & (left > 0.0)).astype(int)
-        if sy >= ty:
-            w -= ((sy > py) & (ty <= py) & (left < 0.0)).astype(int)
-    return w
-
-
-def _distance_mask(points: np.ndarray, samples: np.ndarray, radius: float) -> np.ndarray:
-    """True for samples farther than ``radius`` from every segment."""
-    keep = np.ones(len(samples), dtype=bool)
-    n = len(points)
-    for i in range(n):
-        a = points[i]
-        b = points[(i + 1) % n]
-        d = b - a
-        L2 = float(d @ d)
-        rel = samples - a
-        t = np.clip((rel @ d) / L2, 0.0, 1.0) if L2 > 0 else np.zeros(len(samples))
-        closest = a + t[:, None] * d
-        dist = np.linalg.norm(samples - closest, axis=1)
-        keep &= dist > radius
-    return keep
 
 
 def winding_injectivity_check(
@@ -332,11 +255,11 @@ def winding_injectivity_check(
     extra = np.asarray(list(extra_points), dtype=float).reshape(-1, 2)
     if len(extra):
         probes = np.vstack([probes, extra])
-    w = _winding_grid(pts, probes)
+    w = winding_numbers(pts, probes)
     # only probes with a winding outside {0, 1} can change the verdict,
     # so only they are measured against the curve
     bad = np.flatnonzero((w < 0) | (w > 1))
-    bad = bad[_distance_mask(pts, probes[bad], EPS)]
+    bad = bad[curve_distances(pts, probes[bad]) > EPS]
 
     checks = {
         "winding_in_0_1": len(bad) == 0,
@@ -399,16 +322,16 @@ def check_arm_conclusion(u: Sequence, v: Sequence) -> bool:
     a = arg(end_diff)
     if not (math.pi / 2 - math.pi / 10 < a < math.pi / 2 + math.pi / 10):
         return False
-    for i in range(m):
-        for j in range(m):
-            policy = (
-                EndpointPolicy.EXCLUDE_SHARED_ENDPOINT
-                if i == 0 and j == 0
-                else EndpointPolicy.INCLUDE
-            )
-            if segments_intersect(u[i], u[i + 1], v[j], v[j + 1], policy):
-                return False
-    return True
+    # every u-segment against every v-segment in row-major order: only the
+    # shared start may touch, and a zero-length segment raises only in a
+    # pair up to the first contact
+    A = np.array([*u[:m], *v[:m]], dtype=float).reshape(-1, 2)
+    B = np.array([*u[1:], *v[1:]], dtype=float).reshape(-1, 2)
+    I, J = np.repeat(np.arange(m), m), m + np.tile(np.arange(m), m)
+    hits = np.flatnonzero(segment_pair_contacts(A, B, I, J, (I == 0) & (J == m))[2])
+    first = hits[0] + 1 if len(hits) else len(I)
+    require_segment_lengths([*zip(u[:m], u[1:]), *zip(v[:m], v[1:])], A, B, I[:first], J[:first])
+    return not len(hits)
 
 
 # -- full certification ----------------------------------------------------

@@ -11,15 +11,11 @@ witness for witness.
 import numpy as np
 
 from stretchnet.errors import VerticalSegment
-from stretchnet.geometry import EPS, EndpointPolicy, crossing_point, segments_intersect
+from stretchnet.geometry import EPS, EndpointPolicy
 from stretchnet.verdict import Status, Verdict, Witness
-from stretchnet.verify import (
-    TILT_BOUND,
-    _distance_mask,
-    _winding_grid,
-    check_turn_directions,
-    decompose_boundary,
-)
+from stretchnet.verify import TILT_BOUND, check_turn_directions, decompose_boundary
+
+from geometry_reference import _distance_mask, _winding_grid, crossing_point, segments_intersect
 
 
 def pairwise_segment_distances(A, B):

@@ -15,6 +15,7 @@ from stretchnet.geometry import (
 )
 
 from conftest import winding_angle_sum
+from test_certificate_equivalence import NUDGE, corner
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 coord = st.tuples(finite, finite)
@@ -99,6 +100,52 @@ def test_segments_intersect_endpoint_policy():
 def test_segments_intersect_degenerate():
     with pytest.raises(DegenerateSegment):
         segments_intersect((0, 0), (0, 0), (1, 1), (2, 2))
+
+
+@st.composite
+def segment_pair(draw):
+    """Two dyadic near-touching segments (p1, p2, q1, q2) that often share
+    an endpoint, double back, coincide or have (near-)zero length."""
+    p1, p2, q1, q2 = (draw(corner) for _ in range(4))
+    shape = draw(st.sampled_from(["free", "chained", "tail_to_tail", "doubled_back", "same", "short"]))
+    if shape == "chained":
+        q1 = p2
+    elif shape == "tail_to_tail":
+        q2 = p2
+    elif shape == "doubled_back":
+        di, dj = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        q1, q2 = p2, ((p1[0] + p2[0]) / 2 + di * NUDGE, (p1[1] + p2[1]) / 2 + dj * NUDGE)
+    elif shape == "same":
+        q1, q2 = p2, p1
+    elif shape == "short":
+        di, dj = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        p2 = (p1[0] + di * NUDGE / 4, p1[1] + dj * NUDGE / 4)
+    return p1, p2, q1, q2
+
+
+def intersects(p1, p2, q1, q2, policy):
+    try:
+        return segments_intersect(p1, p2, q1, q2, policy)
+    except DegenerateSegment:
+        return "degenerate"
+
+
+@given(segment_pair(), st.sampled_from(EndpointPolicy))
+def test_segments_intersect_permutation_invariance(seg, policy):
+    p1, p2, q1, q2 = seg
+    expected = intersects(p1, p2, q1, q2, policy)
+    assert intersects(q1, q2, p1, p2, policy) == expected
+    assert intersects(p2, p1, q1, q2, policy) == expected
+    assert intersects(p1, p2, q2, q1, policy) == expected
+
+
+@given(segment_pair())
+def test_segment_distance_permutation_invariance(seg):
+    p1, p2, q1, q2 = seg
+    d = segment_distance(p1, p2, q1, q2)
+    assert segment_distance(q1, q2, p1, p2) == d
+    assert segment_distance(p2, p1, q1, q2) == pytest.approx(d, abs=1e-12)
+    assert segment_distance(p1, p2, q2, q1) == pytest.approx(d, abs=1e-12)
 
 
 def test_segment_distance_touching():

@@ -1,0 +1,120 @@
+"""The array kernels in ``stretchnet.geometry`` decide every contact and
+winding question as the scalar predicates kept in ``geometry_reference``.
+
+Inputs are dyadic near-touching corners (see test_certificate_equivalence):
+segment pairs that share an endpoint, double back, coincide or have
+(near-)zero length; closed polylines with query points on and off the
+curve; and chain pairs for the arm oracle, some with zero-length
+segments.  Results must be equal, or both calls must raise the same
+exception type with the same message.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from stretchnet import geometry
+from stretchnet.geometry import EndpointPolicy
+from stretchnet.verify import check_arm_conclusion
+
+import geometry_reference as reference
+from test_certificate_equivalence import NUDGE, corner, polyline
+from test_geometry import segment_pair
+from test_verify import chain_from_args
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # both sides must raise the same way
+        return ("raised", type(exc).__name__, str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(segment_pair(), st.sampled_from(EndpointPolicy))
+@example(((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.5, NUDGE)), EndpointPolicy.EXCLUDE_SHARED_ENDPOINT)
+@example(((0.0, 0.0), (0.0, NUDGE), (0.0, 0.0), (0.0, NUDGE)), EndpointPolicy.INCLUDE)
+def test_segments_intersect(seg, policy):
+    assert outcome(geometry.segments_intersect, *seg, policy) == outcome(
+        reference.segments_intersect, *seg, policy
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(segment_pair())
+def test_segment_distance(seg):
+    assert geometry.segment_distance(*seg) == pytest.approx(
+        reference.segment_distance(*seg), abs=1e-12
+    )
+
+
+@st.composite
+def curve_and_point(draw):
+    """A polyline, sometimes with a closing duplicate, and a query point
+    that is often one of its corners or near a segment midpoint."""
+    points = draw(polyline)
+    if draw(st.booleans()):
+        points = points + [points[0]]
+    i = draw(st.integers(0, len(points) - 1))
+    a, b = points[i], points[(i + 1) % len(points)]
+    di, dj = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    near = ((a[0] + b[0]) / 2 + di * NUDGE, (a[1] + b[1]) / 2 + dj * NUDGE)
+    return points, draw(st.sampled_from([draw(corner), a, near]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(curve_and_point())
+@example(([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)], (0.5, 0.5)))
+def test_winding_number(case):
+    points, p = case
+    assert outcome(geometry.winding_number, points, p) == outcome(
+        reference.winding_number, points, p
+    )
+
+
+@st.composite
+def chain_pair(draw):
+    """Two chains from a common start whose ends are almost vertically
+    apart, so the pairwise contact loop decides; a drawn corner may repeat
+    its predecessor, making a zero-length segment."""
+    m = draw(st.integers(1, 5))
+    start = draw(corner)
+    u = [start] + [draw(corner) for _ in range(m)]
+    v = [start] + [draw(corner) for _ in range(m - 1)]
+    v.append((u[-1][0] + draw(st.integers(-1, 1)) / 16, u[-1][1] + draw(st.integers(1, 8)) / 4))
+    for chain in (u, v):
+        if m > 1 and draw(st.booleans()):
+            k = draw(st.integers(1, m - 1))
+            chain[k] = chain[k - 1]
+    return u, v
+
+
+@settings(max_examples=400, deadline=None)
+@given(chain_pair())
+def test_check_arm_conclusion(chains):
+    assert outcome(check_arm_conclusion, *chains) == outcome(
+        reference.check_arm_conclusion, *chains
+    )
+
+
+def test_check_arm_conclusion_random_chains():
+    # float chains with independent arguments in the arm window, the
+    # v-chain's end lifted above the u-chain's: some pairs cross on the
+    # way, some do not
+    rng = np.random.default_rng(8)
+    bound = math.pi / 10
+    verdicts = []
+    for _ in range(2000):
+        m = int(rng.integers(1, 9))
+        u, v = (
+            chain_from_args((0.0, 0.0), rng.uniform(0.2, 1.0, m), rng.uniform(-bound, bound, m))
+            for _ in range(2)
+        )
+        v[-1] = (u[-1][0] + rng.uniform(-0.05, 0.05), u[-1][1] + rng.uniform(0.05, 0.5))
+        expected = outcome(reference.check_arm_conclusion, u, v)
+        assert outcome(check_arm_conclusion, u, v) == expected
+        verdicts.append(expected)
+    assert 200 < verdicts.count(True) < 1800

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stretchnet.errors import LengthMismatch, VerticalSegment
+from stretchnet.geometry import segment_pair_contacts
 from stretchnet.pipeline import stretch_and_unfold
 from stretchnet.tree import enumerate_spanning_trees
 from stretchnet.unfold import BoundaryCurve, boundary_curve, cut, develop
@@ -117,6 +118,25 @@ def test_polyline_disjoint_collinear_segments():
     # segments 0 and 2, more than 2 apart
     d = (0.8210951084789369, 1e-09)
     pts = [(s * d[0], s * d[1]) for s in (17 / 97, 90 / 97, 369 / 97, 503 / 97)]
+    assert polyline_self_intersections(pts, closed=False) == []
+    # the contact kernel itself measures the true distance, not 0.0
+    dist, proper, _ = segment_pair_contacts(np.array(pts[0::2]), np.array(pts[1::2]), [0], [1])
+    assert dist[0] == pytest.approx(2.3617, abs=1e-4)
+    assert not proper[0]
+
+
+def test_polyline_disjoint_segments_with_overlapping_grown_boxes():
+    # segment 0 ends 4.4e-9 (more than EPS) left of where segment 3
+    # starts; the broad phase grows their boxes by about 1.3e-8 at this
+    # coordinate magnitude, so the pair is measured, and the rounded
+    # orientation signs once read as a crossing
+    pts = [
+        (101649.33424810511, -32.061869248571476),
+        (331884.43551502423, -104.68180097615365),
+        (331884.43551502423, 892853.7297561278),
+        (331884.4355150286, -104.68180097615503),
+        (385528.68624678906, -121.60207857188706),
+    ]
     assert polyline_self_intersections(pts, closed=False) == []
 
 
