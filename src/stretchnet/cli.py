@@ -28,7 +28,7 @@ from .unfold import (
     rebuild_boundary,
 )
 from .verdict import Status
-from .verify import certify_boundary
+from .verify import certify_boundary, face_centroids
 from .pipeline import stretch_and_unfold
 
 _TIE_RULES = {
@@ -95,11 +95,7 @@ def cmd_verify(args) -> int:
         }
         print(_json_dumps(verdict))
         return 1
-    centroids = [
-        (sum(x for x, _ in pts) / len(pts), sum(y for _, y in pts) / len(pts))
-        for pts in doc["faces"]
-    ]
-    verdict = certify_boundary(boundary, interior_probes=centroids)
+    verdict = certify_boundary(boundary, interior_probes=face_centroids(doc["faces"]))
     print(_json_dumps(verdict.to_json()))
     return 0 if verdict.status is Status.NET else 1
 

@@ -58,7 +58,7 @@ def census(
     rows = []
     for lam in resolved:
         Q = apply_linear(P, R, lam) if (rotate_first or lam != 1.0) else P
-        root = vertex_order(Q).z_max
+        root = vertex_order(Q).x_max
         for tid, T in enumerate(trees):
             rooted = SpanningTree.from_edges(Q.n_vertices, T.edges, root)
             layout = develop(cut(Q, rooted))

@@ -23,6 +23,9 @@ from .mesh import Polyhedron
 #: every developed edge within pi/10 of horizontal.
 THETA_MAX_LIMIT = math.pi / 10.0
 
+#: Largest number of edge-candidate margins the rotation search holds at once.
+_MARGIN_BLOCK = 1 << 14
+
 
 def default_theta_max(P: Polyhedron) -> float:
     """Conservative per-edge angle bound pi / (20 N) for an N-edge mesh."""
@@ -87,19 +90,34 @@ def choose_rotation(P: Polyhedron, seed: int = 0, samples: int = 1024) -> np.nda
     the winner is selected by margin, ties by candidate index, so the
     result is deterministic for a fixed seed.  A positive margin always
     exists because only finitely many directions are orthogonal to an edge.
+    All candidates are scored in one blocked array pass, with the
+    arithmetic of scoring them one by one, so the winner is bitwise the same.
     """
     dirs = np.array([P.edge_vector(e) for e in P.edges])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    rng = np.random.default_rng(seed)
-    best_R, best_margin = np.eye(3), float(np.abs(dirs[:, 0]).min())
-    for _ in range(samples):
-        R = _quaternion_matrix(rng.normal(size=4))
-        margin = float(np.abs(dirs @ R[0]).min())
-        if margin > best_margin:
-            best_R, best_margin = R, margin
-    if best_margin <= EPS:
+    return _best_rotation(dirs, np.random.default_rng(seed).normal(size=(samples, 4)))
+
+
+def _margins(dirs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Margin on unit edge directions ``dirs`` of the rotation of each quaternion in ``q``."""
+    w, x, y, z = (q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]).T  # np.linalg.norm's dot per row
+    R0 = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=1)
+    margins = np.empty(len(q))
+    step = max(1, _MARGIN_BLOCK // len(dirs))
+    for k in range(0, len(q), step):
+        m = dirs @ R0[k : k + step, :, None]  # one matrix-vector product per candidate, as in a loop
+        margins[k : k + step] = np.abs(m, out=m)[..., 0].min(axis=1)
+    return margins
+
+
+def _best_rotation(dirs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The identity or, if strictly better, the first rotation among
+    quaternions ``q`` with the largest margin on unit edge directions ``dirs``."""
+    margins = np.append(np.abs(dirs[:, 0]).min(), _margins(dirs, q))
+    k = int(np.argmax(margins))  # the first maximum, so the identity wins ties
+    if margins[k] <= EPS:
         raise OrthogonalEdge("no sampled rotation cleared an edge off the x-orthogonal plane")
-    return best_R
+    return np.eye(3) if k == 0 else _quaternion_matrix(q[k - 1])
 
 
 def _lambda_for_dirs(d: np.ndarray, theta_max: float) -> float:

@@ -27,8 +27,8 @@ class VertexOrder:
     """Vertices ordered by x-coordinate, ties broken by index."""
 
     keys: tuple
-    y_min: int
-    z_max: int
+    x_min: int
+    x_max: int
 
 
 def vertex_order(P: Polyhedron) -> VertexOrder:
@@ -123,7 +123,7 @@ def rightward_neighbors(Q: Polyhedron) -> tuple:
 
 def _rightward_choices(Q: Polyhedron) -> tuple:
     """(root, non-root vertices, rightward neighbors); NoRightwardEdge if one has none."""
-    root = vertex_order(Q).z_max
+    root = vertex_order(Q).x_max
     rw = rightward_neighbors(Q)
     vs = [v for v in range(Q.n_vertices) if v != root]
     for v in vs:
@@ -259,7 +259,7 @@ def enumerate_spanning_trees(Q: Polyhedron, cap: Optional[int] = None) -> Iterat
     """
     if cap is not None and cap <= 0:
         raise ValueError("cap must be positive")
-    root = vertex_order(Q).z_max
+    root = vertex_order(Q).x_max
     gen = spanning_tree_edge_sets(Q.n_vertices, list(Q.edges))
     if cap is not None:
         gen = itertools.islice(gen, cap)

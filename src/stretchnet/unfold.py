@@ -152,7 +152,7 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
         )
 
     order = vertex_order(Q)
-    candidates = [i for i, (f, p) in enumerate(walk) if Q.faces[f][p] == order.y_min]
+    candidates = [i for i, (f, p) in enumerate(walk) if Q.faces[f][p] == order.x_min]
     shift = min(candidates, key=lambda i: walk[i])
     walk = walk[shift:] + walk[:shift]
 
@@ -172,7 +172,7 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
         fold_adjacency=fold_adjacency,
         boundary=tuple(records),
         tree=T,
-        root_vertex=order.z_max,
+        root_vertex=order.x_max,
         mesh=Q,
     )
 
@@ -196,14 +196,16 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     error or an invalid surface.
 
     Face frames come from the mesh's cache when ``S.face_points3d`` is
-    the mesh's own tuple, and are recomputed otherwise.
+    the mesh's own tuple, and are recomputed otherwise.  Corners are
+    placed with float arithmetic: faces are too small to repay numpy calls.
     """
     n_faces = len(S.faces)
     root = _default_root_face(S) if root_face is None else root_face
     if S.mesh is not None and S.face_points3d is S.mesh.face_points3d:
-        local = S.mesh.face_frames
+        frames = S.mesh.face_frames
     else:
-        local = [local_coords(p) for p in S.face_points3d]
+        frames = [local_coords(p) for p in S.face_points3d]
+    local = [fr.tolist() for fr in frames]
 
     neighbors: dict[int, list[tuple]] = {f: [] for f in range(n_faces)}
     for e, ((fa, pa), (fb, pb)) in S.fold_adjacency.items():
@@ -214,11 +216,8 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
 
     face_points: list = [None] * n_faces
 
-    def place(f: int, cos_s: float, sin_s: float, tx: float, ty: float):
-        pts = local[f]
-        xs = cos_s * pts[:, 0] - sin_s * pts[:, 1] + tx
-        ys = sin_s * pts[:, 0] + cos_s * pts[:, 1] + ty
-        face_points[f] = [(float(x), float(y)) for x, y in zip(xs, ys)]
+    def place(f: int, c: float, s: float, tx: float, ty: float):
+        face_points[f] = [(c * x - s * y + tx, s * x + c * y + ty) for x, y in local[f]]
 
     d3 = S.face_points3d[root][1] - S.face_points3d[root][0]
     target = math.atan2(math.hypot(d3[1], d3[2]), d3[0])

@@ -74,11 +74,6 @@ class BoundaryDecomposition:
         )
 
 
-def _tilt(v: tuple) -> float:
-    a = abs(arg(v))
-    return min(a, math.pi - a)
-
-
 def decompose_boundary(B: BoundaryCurve) -> BoundaryDecomposition:
     """Split the closed boundary into maximal rightward/leftward runs.
 
@@ -87,41 +82,33 @@ def decompose_boundary(B: BoundaryCurve) -> BoundaryDecomposition:
     Runs are listed in traversal order beginning with the run containing
     segment 0, and each junction's signed turn angle is recorded.
     """
-    n = len(B)
-    dirs = []
-    max_tilt = 0.0
-    for i in range(n):
-        dx, dy = B.segment_vector(i)
+    pts = B.points
+    n, dirs, angles, max_tilt = len(pts), [], [], 0.0
+    for i, (a, b) in enumerate(zip(pts, [*pts[1:], *pts[:1]])):
+        dx, dy = b[0] - a[0], b[1] - a[1]
         if abs(dx) <= EPS:
             raise VerticalSegment(f"segment {i} has |dx| = {abs(dx):.3e}")
         dirs.append("R" if dx > 0 else "L")
-        max_tilt = max(max_tilt, _tilt((dx, dy)))
+        angles.append(arg((dx, dy)))
+        max_tilt = max(max_tilt, min(abs(angles[i]), math.pi - abs(angles[i])))
 
-    leftmost = min(range(n), key=lambda i: (B.points[i][0], B.points[i][1]))
+    leftmost = min(range(n), key=lambda i: (pts[i][0], pts[i][1]))
     breaks = [i for i in range(n) if dirs[i] != dirs[i - 1]]
     if not breaks:
         return BoundaryDecomposition((Run(dirs[0], tuple(range(n))),), (), max_tilt, leftmost)
 
-    runs = []
-    for k, start in enumerate(breaks):
-        end = breaks[(k + 1) % len(breaks)]
-        segs = []
-        i = start
-        while i != end:
-            segs.append(i)
-            i = (i + 1) % n
-        runs.append(Run(dirs[start], tuple(segs)))
-    # rotate so the run containing segment 0 comes first
-    for k, run in enumerate(runs):
-        if 0 in run.segments:
-            runs = runs[k:] + runs[:k]
-            break
+    runs = [
+        Run(dirs[start], tuple((start + j) % n for j in range((end - start) % n)))
+        for start, end in zip(breaks, breaks[1:] + breaks[:1])
+    ]
+    if breaks[0] != 0:  # the last run wraps through segment 0, so it comes first
+        runs = runs[-1:] + runs[:-1]
 
     turns = []
     for k, run in enumerate(runs):
         nxt = runs[(k + 1) % len(runs)]
         i_prev, i_next = run.segments[-1], nxt.segments[0]
-        angle = normalize_angle(arg(B.segment_vector(i_next)) - arg(B.segment_vector(i_prev)))
+        angle = normalize_angle(angles[i_next] - angles[i_prev])
         turns.append(Turn(i_next, run.direction, nxt.direction, angle))
     return BoundaryDecomposition(tuple(runs), tuple(turns), max_tilt, leftmost)
 
@@ -341,15 +328,21 @@ def _signed_area(points: Sequence) -> float:
     """Shoelace signed area of a closed polyline (positive when counterclockwise)."""
     pts = np.asarray(points, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    return 0.5 * float(np.dot(x, np.concatenate((y[1:], y[:1]))) - np.dot(np.concatenate((x[1:], x[:1])), y))
 
 
 def certify_boundary(B: BoundaryCurve, interior_probes: Iterable = ()) -> Verdict:
     """Run the full check stack on a boundary polyline.
 
     Overlap evidence (segment collisions or winding >= 2) dominates the
-    verdict; otherwise all checks must pass for a net.
+    verdict; otherwise all checks must pass for a net.  A corner with a
+    non-finite coordinate is a precondition failure before any check:
+    every comparison with NaN is false, so no check could fail on it.
     """
+    bad = next((i for i, (x, y) in enumerate(B.points) if not (math.isfinite(x) and math.isfinite(y))), None)
+    if bad is not None:
+        note = f"corner {bad} has a non-finite coordinate {tuple(B.points[bad])!r}"
+        return Verdict(Status.PRECONDITION_FAILURE, (Witness(note=note),), {"finite_coordinates": False})
     checks: dict = {}
     witnesses: list = []
 
@@ -395,11 +388,11 @@ def certify_boundary(B: BoundaryCurve, interior_probes: Iterable = ()) -> Verdic
     return Verdict(status, tuple(witnesses), checks)
 
 
-def face_centroids(L: PlanarLayout) -> list:
-    return [
-        (sum(x for x, _ in pts) / len(pts), sum(y for _, y in pts) / len(pts))
-        for pts in L.face_points
-    ]
+def face_centroids(faces) -> list:
+    """Corner mean of each face: ``faces`` is a layout or its face point lists."""
+    if isinstance(faces, PlanarLayout):
+        faces = faces.face_points
+    return [(sum(x for x, _ in pts) / len(pts), sum(y for _, y in pts) / len(pts)) for pts in faces]
 
 
 def certify_net(L: PlanarLayout, S=None) -> Verdict:

@@ -62,7 +62,7 @@ def test_every_cube_spanning_tree(cube, lam):
     R = choose_rotation(cube, seed=0)
     scale = 1.0 if lam == "1" else required_lambda(rotate(cube, R), default_theta_max(cube))
     Q = apply_linear(cube, R, scale)
-    root = vertex_order(Q).z_max
+    root = vertex_order(Q).x_max
     trees = list(enumerate_spanning_trees(cube))
     assert len(trees) == 384
     for T in trees:

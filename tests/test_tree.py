@@ -57,14 +57,14 @@ def brute_force_spanning_trees(n, edges):
 def test_vertex_order_extremes(stretched_tetra):
     order = vertex_order(stretched_tetra)
     xs = stretched_tetra.x
-    assert xs[order.y_min] == xs.min()
-    assert xs[order.z_max] == xs.max()
+    assert xs[order.x_min] == xs.min()
+    assert xs[order.x_max] == xs.max()
 
 
 def test_build_increasing_tree_parents_go_right(stretched_tetra):
     T = build_increasing_tree(stretched_tetra)
     xs = stretched_tetra.x
-    root = vertex_order(stretched_tetra).z_max
+    root = vertex_order(stretched_tetra).x_max
     assert T.root == root
     assert T.parent[root] == root
     for v in range(4):
@@ -158,7 +158,7 @@ def test_is_increasing_classifies_all_16(stretched_tetra):
 
 def test_increasing_count_is_rightward_product(stretched_tetra):
     rw = rightward_neighbors(stretched_tetra)
-    root = vertex_order(stretched_tetra).z_max
+    root = vertex_order(stretched_tetra).x_max
     product = 1
     for v in range(4):
         if v != root:

@@ -240,3 +240,27 @@ def test_develop_compatibility_failure_on_tampered_surface(tetra):
     bad = replace(S, face_points3d=tuple(points))
     with pytest.raises(CompatibilityFailure):
         develop(bad)
+
+
+@pytest.mark.parametrize("make", [shapes.cube, shapes.dodecahedron, lambda: shapes.random_hull(60, 1)])
+def test_face_frames_equal_local_coords(make):
+    from stretchnet.mesh import local_coords
+
+    P = make()
+    for M in (P, apply_stretch(P, plan_stretch(P))):
+        assert len(M.face_frames) == M.n_faces
+        for frame, pts in zip(M.face_frames, M.face_points3d):
+            assert not frame.flags.writeable
+            np.testing.assert_array_equal(frame, local_coords(pts))
+
+
+def test_develop_recomputes_frames_of_a_tampered_surface(tetra):
+    # doubling every 3D point doubles every frame, and so every placed
+    # corner, exactly; the mesh's cached frames would leave them unchanged
+    from dataclasses import replace
+
+    Q = apply_stretch(tetra, plan_stretch(tetra))
+    S = cut(Q, build_increasing_tree(Q))
+    layout = develop(S)
+    doubled = develop(replace(S, face_points3d=tuple(2.0 * p for p in S.face_points3d)))
+    assert doubled.face_points == [[(2.0 * x, 2.0 * y) for x, y in pts] for pts in layout.face_points]

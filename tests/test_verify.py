@@ -10,6 +10,7 @@ from stretchnet.tree import enumerate_spanning_trees
 from stretchnet.unfold import BoundaryCurve, boundary_curve, cut, develop
 from stretchnet.verdict import Status
 from stretchnet.verify import (
+    certify_boundary,
     certify_net,
     check_arm_conclusion,
     check_arm_hypotheses,
@@ -284,6 +285,21 @@ def test_lemma2_consistency_over_census(tetra):
         )
         if si.ok and area > 0:
             assert wv.ok
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_certify_non_finite_corner_is_precondition_failure(value):
+    # a NaN fails every comparison, so the contact and winding checks
+    # would pass it; the corner itself must be reported
+    pts = [list(p) for p in FLAT_HEXAGON]
+    pts[4][1] = value
+    pts[2][0] = value
+    verdict = certify_boundary(synthetic_boundary(pts))
+    assert verdict.status is Status.PRECONDITION_FAILURE
+    assert verdict.checks.get("self_intersection") is not True
+    assert verdict.checks.get("winding_in_0_1") is not True
+    assert len(verdict.witnesses) == 1
+    assert verdict.witnesses[0].note.startswith("corner 2 has a non-finite coordinate")
 
 
 def test_certify_net_statuses(tetra):
