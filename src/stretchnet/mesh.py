@@ -18,7 +18,7 @@ import copy
 import itertools
 import warnings
 from functools import cached_property
-from typing import IO, Mapping, NamedTuple, Union
+from typing import IO, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -38,7 +38,7 @@ from .geometry import EPS, TWO_PI
 _PLANE_BLOCK = 1 << 18
 
 #: Cached attributes that depend on the vertex coordinates.
-_VERTEX_CACHES = ("corner_angles", "cone_angles", "face_points3d", "face_frames")
+_VERTEX_CACHES = ("corner_angles", "cone_angles", "face_points3d", "face_frames", "edge_vectors")
 
 
 class Corners(NamedTuple):
@@ -70,6 +70,7 @@ class Polyhedron:
     faces : tuple of vertex-index cycles, counterclockwise from outside.
     edges : tuple of (u, v) pairs with u < v, sorted.
     edge_faces : per edge, the pair of incident face indices.
+    edge_ends : (E, 2) int array of ``edges``.
     corners : flat per-corner arrays of ``faces`` (see ``Corners``).
     n_edges : edge count (the N of the stretch bound pi / (20 N)).
     """
@@ -197,6 +198,7 @@ class Polyhedron:
         self.edges = tuple(sorted(edge_faces))
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
         self.edge_faces = tuple(tuple(edge_faces[e]) for e in self.edges)
+        self.edge_ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
         adj: list[set[int]] = [set() for _ in range(len(self.vertices))]
         for a, b in self.edges:
             adj[a].add(b)
@@ -279,11 +281,19 @@ class Polyhedron:
 
     @cached_property
     def face_frames(self) -> tuple:
-        """Per face, its isometric 2D coordinates (``local_coords``), read-only."""
-        frames = tuple(local_coords(p) for p in self.face_points3d)
-        for fr in frames:
-            fr.flags.writeable = False
-        return frames
+        """Per face, its isometric 2D coordinates, read-only.
+
+        ``local_frames`` computes them one stack of equal-size faces at a
+        time, bitwise equal to ``local_coords`` of each face.
+        """
+        return local_frames(self.face_points3d)
+
+    @cached_property
+    def edge_vectors(self) -> np.ndarray:
+        """Read-only (E, 3) array of ``edge_vector(e)`` for every edge, in ``edges`` order."""
+        d = self.vertices[self.edge_ends[:, 1]] - self.vertices[self.edge_ends[:, 0]]
+        d.flags.writeable = False
+        return d
 
     # -- queries -------------------------------------------------------
 
@@ -349,23 +359,66 @@ def local_coords(pts3d: np.ndarray) -> np.ndarray:
     The basis is chosen right-handed with respect to the outward normal,
     so a counterclockwise-from-outside cycle stays counterclockwise.
     """
-    origin = pts3d[0]
-    u = pts3d[1] - origin
-    u = u / np.linalg.norm(u)
-    n = _cross3(u, pts3d[2] - origin)
-    for q in pts3d[3:]:
-        if np.linalg.norm(n) > 1e-12 * np.linalg.norm(q - origin):
+    return _frames(np.asarray(pts3d, dtype=float)[None])[0]
+
+
+def local_frames(points3d: Sequence[np.ndarray]) -> tuple:
+    """``local_coords`` of every face of ``points3d``, as read-only views.
+
+    Faces of one size are framed together by ``_frames``, which runs
+    ``local_coords``'s arithmetic on the whole stack: the same
+    elementwise operations, and the same BLAS dot and matrix-vector
+    products per face through stacked ``matmul``.  So every frame is
+    bitwise the one-face result (``tests/test_unfold.py``).
+    """
+    sizes = [len(p) for p in points3d]
+    frames: list = [None] * len(sizes)
+    for k in sorted(set(sizes)):
+        ids = [f for f, n in enumerate(sizes) if n == k]
+        F = _frames(np.stack([points3d[f] for f in ids]))
+        F.flags.writeable = False
+        for f, fr in zip(ids, F):
+            frames[f] = fr
+    return tuple(frames)
+
+
+def _frames(pts: np.ndarray) -> np.ndarray:
+    """``local_coords`` of each face of an (m, k, 3) stack, as an (m, k, 2) array.
+
+    The origin is corner 0 and the first axis runs to corner 1.  The
+    normal is u x (corner 2 - origin) unless it is tiny against the next
+    corner's offset, in which case that corner is tried instead, and so on.
+    """
+    rel = pts - pts[:, :1]
+    u = rel[:, 1] / _norms(rel[:, 1])[:, None]
+    n = _cross3(u, rel[:, 2])
+    search = np.ones(len(rel), dtype=bool)
+    for j in range(3, rel.shape[1]):
+        q = rel[:, j]
+        search &= ~(_norms(n) > 1e-12 * _norms(q))
+        if not search.any():
             break
-        n = _cross3(u, q - origin)
-    n = n / np.linalg.norm(n)
+        n[search] = _cross3(u[search], q[search])
+    n = n / _norms(n)[:, None]
     w = _cross3(n, u)
-    rel = pts3d - origin
-    return np.stack([rel @ u, rel @ w], axis=1)
+    return np.concatenate([rel @ u[:, :, None], rel @ w[:, :, None]], axis=2)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    # per row, the dot product np.linalg.norm takes the square root of
+    return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.cross's own products and differences, without its per-call overhead
-    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+    # np.cross's own products and differences, along the last axis
+    return np.stack(
+        [
+            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
+        ],
+        axis=-1,
+    )
 
 
 # -- OFF format ---------------------------------------------------------

@@ -66,7 +66,7 @@ class EdgeAngleReport:
 
 
 def edge_angle_report(P: Polyhedron) -> EdgeAngleReport:
-    d = np.array([P.edge_vector(e) for e in P.edges])
+    d = P.edge_vectors
     angles = np.arctan2(np.hypot(d[:, 1], d[:, 2]), np.abs(d[:, 0]))
     i = int(np.argmax(angles))
     return EdgeAngleReport(tuple(float(a) for a in angles), float(angles[i]), P.edges[i])
@@ -93,8 +93,8 @@ def choose_rotation(P: Polyhedron, seed: int = 0, samples: int = 1024) -> np.nda
     All candidates are scored in one blocked array pass, with the
     arithmetic of scoring them one by one, so the winner is bitwise the same.
     """
-    dirs = np.array([P.edge_vector(e) for e in P.edges])
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    d = P.edge_vectors
+    dirs = d / np.linalg.norm(d, axis=1, keepdims=True)
     return _best_rotation(dirs, np.random.default_rng(seed).normal(size=(samples, 4)))
 
 
@@ -132,8 +132,7 @@ def _lambda_for_dirs(d: np.ndarray, theta_max: float) -> float:
 def required_lambda(P_rotated: Polyhedron, theta_max: float) -> float:
     """Smallest x-scaling (with a 1% safety margin) bringing every edge
     within ``theta_max`` of the x-axis.  Never below 1."""
-    d = np.array([P_rotated.edge_vector(e) for e in P_rotated.edges])
-    return _lambda_for_dirs(d, theta_max)
+    return _lambda_for_dirs(P_rotated.edge_vectors, theta_max)
 
 
 def rotate(P: Polyhedron, R: np.ndarray) -> Polyhedron:
@@ -218,7 +217,7 @@ def sweep_directions(
     else:
         dirs = np.asarray(list(directions), dtype=float)[:k]
         dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    edge_dirs = np.array([P.edge_vector(e) for e in P.edges])
+    edge_dirs = P.edge_vectors
     rows = []
     for d in dirs:
         R = rotation_to_x(d)

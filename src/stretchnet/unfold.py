@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import CompatibilityFailure, NotSpanningTree
-from .mesh import Polyhedron, local_coords
+from .mesh import Polyhedron, local_frames
 from .tree import SpanningTree, vertex_order
 
 #: Fold-edge placement disagreement above this aborts development; it is
@@ -94,14 +95,23 @@ def _check_spanning(Q: Polyhedron, T: SpanningTree):
     for v, p in enumerate(T.parent):
         if v != T.root and not Q.has_edge(v, p):
             raise NotSpanningTree(f"tree edge ({v}, {p}) is not a mesh edge")
-    # parent links must all reach the root (no stray cycles)
+    # parent links must all reach the root (no stray cycles); the walk
+    # from v stops at the first vertex an earlier walk showed to reach it,
+    # so each vertex is stepped over at most twice
+    parent, reaches = T.parent, Q.n_vertices
+    mark = [-1] * Q.n_vertices  # the last walk through a vertex, or ``reaches``
+    mark[T.root] = reaches
     for v in range(Q.n_vertices):
-        cur, hops = v, 0
-        while cur != T.root:
-            cur = T.parent[cur]
-            hops += 1
-            if hops > Q.n_vertices:
+        cur = v
+        while mark[cur] != reaches:
+            if mark[cur] == v:
                 raise NotSpanningTree(f"vertex {v} never reaches the root")
+            mark[cur] = v
+            cur = parent[cur]
+        cur = v
+        while mark[cur] != reaches:
+            mark[cur] = reaches
+            cur = parent[cur]
 
 
 def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
@@ -204,7 +214,7 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     if S.mesh is not None and S.face_points3d is S.mesh.face_points3d:
         frames = S.mesh.face_frames
     else:
-        frames = [local_coords(p) for p in S.face_points3d]
+        frames = local_frames(S.face_points3d)
     local = [fr.tolist() for fr in frames]
 
     neighbors: dict[int, list[tuple]] = {f: [] for f in range(n_faces)}
@@ -331,29 +341,31 @@ def _json_dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+_LAYOUT = '{"faces":[%s],"tree":%s,"boundary":[%s],"folds":[%s],"meta":%s}\n'
+_BOUNDARY = '{"face":%d,"pos":%d,"tail":%d,"head":%d,"edge":[%d,%d],"dual":%d}'
+_FOLD = '{"edge":[%d,%d],"a":[%d,%d],"b":[%d,%d]}'
+
+
 def layout_to_json(L: PlanarLayout, meta: Optional[dict] = None) -> str:
+    """The layout as one deterministic JSON document.
+
+    All face corners are written by one %-format, and each boundary and
+    fold record by one more.  ``%.17g`` formats a number as
+    ``format(float(x), ".17g")`` does and ``%d`` an int as ``str`` does,
+    so the text is byte for byte what the recursive ``_json_dumps`` gives
+    on the whole document (``tests/test_unfold_equivalence.py``).
+    ``tree`` and ``meta`` still go through ``_json_dumps``.
+    """
     S = L.surface
-    data = {
-        "faces": [[[float(x), float(y)] for x, y in pts] for pts in L.face_points],
-        "tree": S.tree.to_json() if S.tree is not None else None,
-        "boundary": [
-            {
-                "face": rec.face,
-                "pos": S.faces[rec.face].index(rec.tail),
-                "tail": rec.tail,
-                "head": rec.head,
-                "edge": list(rec.edge),
-                "dual": rec.dual,
-            }
-            for rec in S.boundary
-        ],
-        "folds": [
-            {"edge": list(e), "a": list(fa), "b": list(fb)}
-            for e, (fa, fb) in sorted(S.fold_adjacency.items())
-        ],
-        "meta": dict(meta or {}),
-    }
-    return _json_dumps(data) + "\n"
+    corners = ",".join(["[" + ",".join(["[%.17g,%.17g]"] * len(pts)) + "]" for pts in L.face_points])
+    faces = corners % tuple(chain.from_iterable(chain.from_iterable(L.face_points)))
+    boundary = ",".join(
+        _BOUNDARY % (rec.face, S.faces[rec.face].index(rec.tail), rec.tail, rec.head, *rec.edge, rec.dual)
+        for rec in S.boundary
+    )
+    folds = ",".join(_FOLD % (*e, *fa, *fb) for e, (fa, fb) in sorted(S.fold_adjacency.items()))
+    tree = _json_dumps(S.tree.to_json() if S.tree is not None else None)
+    return _LAYOUT % (faces, tree, boundary, folds, _json_dumps(dict(meta or {})))
 
 
 def export_json(L: PlanarLayout, path, meta: Optional[dict] = None) -> None:

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from stretchnet import shapes
+from stretchnet.mesh import Polyhedron
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +30,17 @@ def icosa():
 @pytest.fixture(scope="session")
 def dodeca():
     return shapes.dodecahedron()
+
+
+def prism(n):
+    """Right prism over a regular n-gon: vertex i of the bottom cap lies
+    under vertex n + i of the top one; two n-gon caps and n quads."""
+    t = 2 * np.pi * np.arange(n) / n
+    ring = np.stack([np.cos(t), np.sin(t)], axis=1)
+    verts = np.vstack([np.hstack([ring, np.zeros((n, 1))]), np.hstack([ring, np.ones((n, 1))])])
+    faces = [tuple(range(n)), tuple(range(n, 2 * n))]
+    faces += [(i, (i + 1) % n, n + (i + 1) % n, n + i) for i in range(n)]
+    return Polyhedron.build(verts, faces)
 
 
 def winding_angle_sum(points, p, subdiv=32):

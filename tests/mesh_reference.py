@@ -6,6 +6,10 @@ Newell normal where it needs it.  ``reference_build`` runs the same
 checks in the same order and returns the accepted mesh's data instead of
 a Polyhedron, so ``tests/test_mesh_equivalence.py`` can compare the two
 on every input.
+
+``local_coords`` is the one-face frame that ``Polyhedron.face_frames``
+used to call for every face; ``tests/test_unfold.py`` checks the stacked
+frames against it bitwise.
 """
 
 from __future__ import annotations
@@ -202,3 +206,23 @@ def face_is_convex(pts: np.ndarray, normal: np.ndarray, tol: float) -> bool:
         if float(np.cross(u, w) @ normal) < -tol:
             return False
     return True
+
+
+def local_coords(pts3d: np.ndarray) -> np.ndarray:
+    """Isometric 2D coordinates of a planar face, orientation preserved."""
+    origin = pts3d[0]
+    u = pts3d[1] - origin
+    u = u / np.linalg.norm(u)
+    n = _cross3(u, pts3d[2] - origin)
+    for q in pts3d[3:]:
+        if np.linalg.norm(n) > 1e-12 * np.linalg.norm(q - origin):
+            break
+        n = _cross3(u, q - origin)
+    n = n / np.linalg.norm(n)
+    w = _cross3(n, u)
+    rel = pts3d - origin
+    return np.stack([rel @ u, rel @ w], axis=1)
+
+
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])

@@ -213,11 +213,13 @@ def test_transformed_equals_rebuild(name, M):
 
 def test_transformed_shares_combinatorics_and_drops_vertex_caches():
     P = shapes.cube()
-    before = (P.cone_angles, P.face_points3d, P.face_frames)
+    before = (P.cone_angles, P.face_points3d, P.face_frames, P.edge_vectors)
     Q = P.transformed(np.array([[3.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    for attr in ("faces", "edges", "half", "edge_faces", "edge_index", "adjacency", "corners"):
+    for attr in ("faces", "edges", "half", "edge_faces", "edge_index", "adjacency", "corners", "edge_ends"):
         assert getattr(Q, attr) is getattr(P, attr)
-    assert (P.cone_angles, P.face_points3d, P.face_frames) == before
+    assert all(a is b for a, b in zip((P.cone_angles, P.face_points3d, P.face_frames, P.edge_vectors), before))
+    np.testing.assert_allclose(Q.edge_vectors, P.edge_vectors @ np.array([[3.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]).T, atol=1e-15)
+    assert not Q.edge_vectors.flags.writeable
     assert not np.allclose(Q.cone_angles, P.cone_angles)
     assert math.isclose(Q.cone_angles.sum(), 2 * math.pi * 8 - 4 * math.pi)  # Gauss-Bonnet
     np.testing.assert_array_equal(Q.face_points3d[0], Q.vertices[list(Q.faces[0])])

@@ -15,7 +15,7 @@ import pytest
 
 from stretchnet import shapes
 from stretchnet.errors import OrthogonalEdge
-from stretchnet.transform import _best_rotation, _margins, _quaternion_matrix, choose_rotation
+from stretchnet.transform import _best_rotation, _margins, _quaternion_matrix, apply_linear, choose_rotation, rotate
 
 import transform_reference as reference
 
@@ -32,6 +32,17 @@ def meshes():
 def unit_dirs(P):
     d = np.array([P.edge_vector(e) for e in P.edges])
     return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_edge_vectors_are_the_per_edge_loop(meshes, name):
+    # one fancy-indexed difference per mesh feeds the rotation search, the
+    # lambda bound, the edge-angle check and the direction sweep
+    P = meshes[name]
+    for M in (P, rotate(P, choose_rotation(P)), apply_linear(P, np.eye(3), 1e9)):
+        assert M.edge_vectors.tobytes() == np.array([M.edge_vector(e) for e in M.edges]).tobytes()
+        assert not M.edge_vectors.flags.writeable
+        assert M.edge_vectors is M.edge_vectors
 
 
 @pytest.mark.parametrize("samples", [0, 1, 7, 1024])

@@ -5,8 +5,9 @@ import pytest
 
 from stretchnet import shapes
 from stretchnet.errors import NotSpanningTree
+from stretchnet.mesh import Polyhedron, local_coords, local_frames
 from stretchnet.pipeline import stretch_and_unfold
-from stretchnet.transform import apply_stretch, plan_stretch
+from stretchnet.transform import apply_linear, apply_stretch, plan_stretch
 from stretchnet.tree import SpanningTree, build_increasing_tree, enumerate_spanning_trees
 from stretchnet.unfold import (
     BoundaryEdge,
@@ -18,6 +19,9 @@ from stretchnet.unfold import (
     load_layout_json,
     rebuild_boundary,
 )
+
+import mesh_reference
+from conftest import prism
 
 
 def polygon_area(pts):
@@ -242,16 +246,89 @@ def test_develop_compatibility_failure_on_tampered_surface(tetra):
         develop(bad)
 
 
-@pytest.mark.parametrize("make", [shapes.cube, shapes.dodecahedron, lambda: shapes.random_hull(60, 1)])
-def test_face_frames_equal_local_coords(make):
-    from stretchnet.mesh import local_coords
+def triangular_prism():
+    return prism(3)
 
-    P = make()
-    for M in (P, apply_stretch(P, plan_stretch(P))):
-        assert len(M.face_frames) == M.n_faces
-        for frame, pts in zip(M.face_frames, M.face_points3d):
-            assert not frame.flags.writeable
-            np.testing.assert_array_equal(frame, local_coords(pts))
+
+def heptagonal_prism():
+    return prism(7)
+
+
+def square_pyramid():
+    verts = [(1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0), (0, 0, 1.3)]
+    return Polyhedron.build(verts, [(0, 1, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)])
+
+
+def hull_1000():
+    return shapes.random_hull(1000, 2)
+
+
+def _stretches(P):
+    """``P``, stretched at the default bound, at pi/40 and at lambda = 1e9."""
+    plan = plan_stretch(P)
+    return (P, apply_stretch(P, plan), apply_stretch(P, plan_stretch(P, math.pi / 40)), apply_linear(P, plan.rotation, 1e9))
+
+
+def assert_frames_match_reference(frames, points3d):
+    assert len(frames) == len(points3d)
+    for frame, pts in zip(frames, points3d):
+        expected = mesh_reference.local_coords(np.asarray(pts, dtype=float))
+        assert not frame.flags.writeable
+        assert frame.shape == expected.shape and frame.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        shapes.cube,
+        shapes.dodecahedron,
+        lambda: shapes.random_hull(60, 1),
+        triangular_prism,
+        square_pyramid,
+        heptagonal_prism,
+        hull_1000,
+    ],
+)
+def test_face_frames_equal_local_coords(make):
+    # faces of one size are framed in one stacked pass; every frame must
+    # be bitwise the one-face reference, at every stretch
+    for M in _stretches(make()):
+        assert_frames_match_reference(M.face_frames, M.face_points3d)
+        assert M.face_frames is M.face_frames
+
+
+DEGENERATE_FACES = [
+    # corners 0, 1, 2 collinear: the normal comes from corner 3
+    [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (0, 1, 0)],
+    # corners 0 to 3 collinear: the search runs twice
+    [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (3, 1, 0), (0, 1, 0)],
+    # corner 2 almost collinear, below the 1e-12 test
+    [(0, 0, 0), (1, 0, 0), (2, 1e-14, 0), (2, 1, 0), (0, 1, 0)],
+    # the same face, but above it
+    [(0, 0, 0), (1, 0, 0), (2, 1e-9, 0), (2, 1, 0), (0, 1, 0)],
+    # a stop is final: corner 2 passes against corner 3, not against the
+    # far, slightly off-plane corner 4, whose normal would tilt the frame
+    [(0, 0, 0), (1, 0, 0), (2, 1e-9, 0), (2, 1, 0), (0, 1e4, 1)],
+    # corners 0, 1, 2 collinear in a tilted plane
+    [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 3, 2), (1, 0, 2)],
+]
+
+
+@pytest.mark.parametrize("face", DEGENERATE_FACES)
+def test_local_coords_searches_past_collinear_corners(face):
+    pts = np.array(face, dtype=float)
+    assert_frames_match_reference(local_frames([pts]), [pts])
+    frame = local_coords(pts)
+    assert frame.tobytes() == mesh_reference.local_coords(pts).tobytes()
+    assert frame[:, 1].min() >= 0.0 and frame[:, 1].max() > 0.0  # counterclockwise about +n
+
+
+def test_local_frames_mix_degenerate_and_regular_rows():
+    rng = np.random.default_rng(4)
+    faces = [np.array(f, dtype=float) for f in DEGENERATE_FACES]
+    faces += [rng.normal(size=(k, 3)) for k in (3, 5, 5, 6, 4)]
+    faces = [faces[i] for i in rng.permutation(len(faces))]
+    assert_frames_match_reference(local_frames(faces), faces)
 
 
 def test_develop_recomputes_frames_of_a_tampered_surface(tetra):

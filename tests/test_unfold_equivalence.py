@@ -1,0 +1,161 @@
+"""Layout JSON and the spanning check agree with their reference forms.
+
+``unfold.layout_to_json`` formats records with %-formats and
+``unfold._check_spanning`` walks each parent chain only until it meets a
+vertex known to reach the root.  ``tests/unfold_reference.py`` keeps the
+recursive serializer and the walk from every vertex; the documents must
+be byte for byte equal, and the same first failing vertex must be named.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from stretchnet import shapes, unfold
+from stretchnet.errors import NotSpanningTree
+from stretchnet.pipeline import stretch_and_unfold
+from stretchnet.tree import SpanningTree, build_increasing_tree
+
+import unfold_reference as reference
+from conftest import prism
+
+META = {"lambda": 3.25, "theta_max": math.pi / 40, "seed": 0}
+
+
+@pytest.fixture(scope="module")
+def hull_layouts():
+    return {
+        (n, theta): stretch_and_unfold(shapes.random_hull(n, 7), theta_max=theta).layout
+        for n in (300, 1000)
+        for theta in (math.pi / 40, None)
+    }
+
+
+@pytest.mark.parametrize("theta", [math.pi / 40, None], ids=["pi-40", "default"])
+@pytest.mark.parametrize("n", [300, 1000])
+def test_hull_layout_json_is_byte_identical(hull_layouts, n, theta):
+    L = hull_layouts[(n, theta)]
+    for meta in (None, META):
+        assert unfold.layout_to_json(L, meta) == reference.layout_to_json(L, meta)
+
+
+@pytest.mark.parametrize("name", sorted(shapes.platonic_solids()))
+def test_platonic_layout_json_is_byte_identical(name):
+    L = stretch_and_unfold(shapes.platonic_solids()[name]).layout
+    assert unfold.layout_to_json(L, META) == reference.layout_to_json(L, META)
+
+
+CRAFTED_META = {
+    "flags": [True, False],
+    "ints": [np.int64(-7), np.int32(3), np.uint8(255), 0, 10**20],
+    "none": None,
+    "text": 'say "hi" \\ back, déjà vu — 数学 \U0001f600',
+    "floats": [-0.0, 1e-300, float("inf"), -float("inf"), 5e-324, 0.1, np.float64(2.5)],
+    "nested": {"a": (1, 2.0), "b": {"c": []}},
+    'quote"key': "x",
+}
+
+
+def test_crafted_meta_is_byte_identical(hull_layouts):
+    L = hull_layouts[(300, math.pi / 40)]
+    assert unfold.layout_to_json(L, CRAFTED_META) == reference.layout_to_json(L, CRAFTED_META)
+
+
+def test_layout_without_tree_is_byte_identical(cube):
+    L = stretch_and_unfold(cube).layout
+    bare = replace(L, surface=replace(L.surface, tree=None))
+    text = unfold.layout_to_json(bare, META)
+    assert text == reference.layout_to_json(bare, META)
+    assert '"tree":null' in text
+
+
+def test_numpy_and_int_corners_are_byte_identical(cube):
+    # %.17g formats any real number as format(float(x), ".17g") does
+    L = stretch_and_unfold(cube).layout
+    mixed = [
+        [(np.float64(x), np.float32(y)) if i % 2 else (int(round(x)), -0.0 * y) for i, (x, y) in enumerate(pts)]
+        for pts in L.face_points
+    ]
+    odd = replace(L, face_points=mixed)
+    assert unfold.layout_to_json(odd) == reference.layout_to_json(odd)
+
+
+# -- _check_spanning ------------------------------------------------------------
+
+
+def outcome(check, Q, T):
+    try:
+        check(Q, T)
+    except NotSpanningTree as exc:
+        return str(exc)
+    return None
+
+
+def test_parent_cycle_away_from_root_names_first_vertex(cube):
+    # vertex 0 hangs off a 4-cycle that avoids the root, so it is the first
+    # vertex that never reaches the root although it is not on the cycle
+    root = cube.adjacency[0][0]
+    parent, queue = {root: root}, [root]
+    for v in queue:  # breadth-first tree from the root
+        for w in cube.adjacency[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    top = next(f for f in cube.faces if root not in f and 0 not in f)
+    a, b, c, d = top
+    parent[a], parent[b], parent[c], parent[d] = b, c, d, a
+    parent[0] = next(v for v in cube.adjacency[0] if v in top)
+    bad = SpanningTree(root, tuple(parent[v] for v in range(cube.n_vertices)))
+    expected = outcome(reference.check_spanning, cube, bad)
+    assert expected == "vertex 0 never reaches the root"
+    assert outcome(unfold._check_spanning, cube, bad) == expected
+    with pytest.raises(NotSpanningTree, match="vertex 0 never reaches the root"):
+        unfold.cut(cube, bad)
+
+
+def test_random_parent_maps_match_reference():
+    # random maps sending each vertex to a neighbour: most hold a cycle
+    P = shapes.random_hull(14, 3)
+    tree = build_increasing_tree(P)
+    rng = np.random.default_rng(0)
+    messages = set()
+    for _ in range(400):
+        if rng.random() < 0.5:
+            root = int(rng.integers(P.n_vertices))
+            parent = [int(rng.choice(P.adjacency[v])) for v in range(P.n_vertices)]
+        else:  # a spanning tree with at most one vertex re-pointed
+            root, parent = tree.root, list(tree.parent)
+            v = int(rng.integers(P.n_vertices))
+            if v != root:
+                parent[v] = int(rng.choice(P.adjacency[v]))
+        parent[root] = root
+        T = SpanningTree(root, tuple(parent))
+        expected = outcome(reference.check_spanning, P, T)
+        assert outcome(unfold._check_spanning, P, T) == expected
+        messages.add(expected)
+    assert None in messages and len(messages) > 3
+
+
+class CountingParents(tuple):
+    """A parent tuple that counts its lookups by index."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        CountingParents.lookups += 1
+        return super().__getitem__(i)
+
+
+def test_long_path_tree_is_checked_in_linear_time():
+    # a Hamiltonian path of a 1,000-gon prism: every walk from every vertex
+    # to the root would take about V^2 / 2 = 2e6 parent lookups
+    n = 1000
+    Q = prism(n)
+    parent = [0] + list(range(n - 1)) + [n + i + 1 for i in range(n - 1)] + [n - 1]
+    T = SpanningTree(0, CountingParents(parent))
+    CountingParents.lookups = 0
+    unfold._check_spanning(Q, T)
+    assert CountingParents.lookups <= 2 * Q.n_vertices
+    assert len(unfold.cut(Q, T).boundary) == 2 * (Q.n_vertices - 1)
