@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import CompatibilityFailure, UnfoldError
+from .errors import CompatibilityFailure, MalformedLayout, UnfoldError
 from .mesh import load_off
 from .oracle import census, census_csv
 from .transform import THETA_MAX_LIMIT, sweep_directions
@@ -28,7 +28,7 @@ from .unfold import (
     rebuild_boundary,
 )
 from .verdict import Status
-from .verify import certify_boundary, face_centroids
+from .verify import certify_boundary
 from .pipeline import stretch_and_unfold
 
 _TIE_RULES = {
@@ -79,12 +79,9 @@ def cmd_unfold(args) -> int:
 def cmd_verify(args) -> int:
     try:
         doc = load_layout_json(Path(args.input))
-        if not isinstance(doc, dict) or "faces" not in doc or "boundary" not in doc:
-            raise ValueError("not a layout document")
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        parts = (doc.get("faces"), doc.get("boundary"), doc.get("folds", [])) if isinstance(doc, dict) else ()
+        if not parts or not all(isinstance(p, list) for p in parts):
+            raise MalformedLayout("not a layout document")
         check_fold_consistency(doc)
         boundary = rebuild_boundary(doc)
     except CompatibilityFailure as exc:
@@ -95,7 +92,10 @@ def cmd_verify(args) -> int:
         }
         print(_json_dumps(verdict))
         return 1
-    verdict = certify_boundary(boundary, interior_probes=face_centroids(doc["faces"]))
+    except (OSError, ValueError, MalformedLayout) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    verdict = certify_boundary(boundary)
     print(_json_dumps(verdict.to_json()))
     return 0 if verdict.status is Status.NET else 1
 

@@ -57,6 +57,10 @@ class CompatibilityFailure(UnfoldError):
     """Placements of two faces disagree across a shared fold edge."""
 
 
+class MalformedLayout(UnfoldError):
+    """A stored layout document is not of the form ``layout_to_json`` writes."""
+
+
 class LengthMismatch(UnfoldError):
     """Two chains that must have equal point counts do not."""
 

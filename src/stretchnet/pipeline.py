@@ -10,7 +10,7 @@ from .transform import Stretch, apply_stretch, plan_stretch
 from .tree import SpanningTree, TieRule, build_increasing_tree
 from .unfold import BoundaryCurve, CutSurface, PlanarLayout, boundary_curve, cut, develop
 from .verdict import Verdict
-from .verify import certify_boundary, face_centroids
+from .verify import certify_boundary
 
 
 @dataclass
@@ -45,5 +45,5 @@ def stretch_and_unfold(
     surface = cut(Q, T)
     layout = develop(surface)
     boundary = boundary_curve(layout)
-    verdict = certify_boundary(boundary, interior_probes=face_centroids(layout))
+    verdict = certify_boundary(boundary)
     return UnfoldRun(P, S, Q, T, surface, layout, boundary, verdict)

@@ -14,11 +14,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, NamedTuple, Optional, Sequence, Union
+from typing import IO, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CompatibilityFailure, NotSpanningTree
+from .errors import CompatibilityFailure, MalformedLayout, NotSpanningTree
 from .mesh import Polyhedron, local_frames
 from .tree import SpanningTree, vertex_order
 
@@ -274,7 +274,7 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     y_prime = None
     if S.boundary:
         b0 = S.boundary[0]
-        y_prime = face_points[b0.face][S.faces[b0.face].index(b0.tail)]
+        y_prime = face_points[b0.face][b0.pos]
 
     return PlanarLayout(
         surface=S,
@@ -293,23 +293,31 @@ def boundary_curve(L: PlanarLayout, S: Optional[CutSurface] = None) -> BoundaryC
     development tolerance.
     """
     S = L.surface if S is None else S
-    points, duals, sources, vertices, provenance = [], [], [], [], []
-    for rec in S.boundary:
-        cyc = S.faces[rec.face]
-        points.append(L.face_points[rec.face][cyc.index(rec.tail)])
-        duals.append(rec.dual)
-        sources.append(rec.edge)
-        vertices.append(rec.tail)
-        provenance.append((rec.face, cyc.index(rec.tail)))
-    curve = BoundaryCurve(points, duals, sources, vertices, provenance)
-    for i, rec in enumerate(S.boundary):
-        cyc = S.faces[rec.face]
-        head = L.face_points[rec.face][cyc.index(rec.head)]
-        nxt = curve.points[(i + 1) % len(curve.points)]
+    return _assemble_boundary(L.face_points, ((r.face, r.pos, r.tail, r.edge, r.dual) for r in S.boundary))
+
+
+def _assemble_boundary(face_points: Sequence, records: Iterable) -> BoundaryCurve:
+    """The polyline through corner ``face_points[face][pos]`` of each
+    ``(face, pos, tail, edge, dual)`` record, in order.
+
+    Raises CompatibilityFailure where the head of segment i, the corner
+    after ``pos`` in its face, lies more than COMPAT_TOL from corner i + 1.
+    """
+    points, heads, duals, sources, vertices, provenance = [], [], [], [], [], []
+    for f, pos, tail, edge, dual in records:
+        face = face_points[f]
+        x, y = face[pos]
+        points.append((float(x), float(y)))
+        heads.append(face[(pos + 1) % len(face)])
+        duals.append(dual)
+        sources.append(edge)
+        vertices.append(tail)
+        provenance.append((f, pos))
+    for i, (head, nxt) in enumerate(zip(heads, [*points[1:], *points[:1]])):
         gap = math.hypot(head[0] - nxt[0], head[1] - nxt[1])
         if gap > COMPAT_TOL:
             raise CompatibilityFailure(f"boundary breaks after segment {i} by {gap:.3e}")
-    return curve
+    return BoundaryCurve(points, duals, sources, vertices, provenance)
 
 
 # -- serialization --------------------------------------------------------
@@ -360,7 +368,7 @@ def layout_to_json(L: PlanarLayout, meta: Optional[dict] = None) -> str:
     corners = ",".join(["[" + ",".join(["[%.17g,%.17g]"] * len(pts)) + "]" for pts in L.face_points])
     faces = corners % tuple(chain.from_iterable(chain.from_iterable(L.face_points)))
     boundary = ",".join(
-        _BOUNDARY % (rec.face, S.faces[rec.face].index(rec.tail), rec.tail, rec.head, *rec.edge, rec.dual)
+        _BOUNDARY % (rec.face, rec.pos, rec.tail, rec.head, *rec.edge, rec.dual)
         for rec in S.boundary
     )
     folds = ",".join(_FOLD % (*e, *fa, *fb) for e, (fa, fb) in sorted(S.fold_adjacency.items()))
@@ -393,21 +401,21 @@ def check_fold_consistency(doc: dict) -> None:
     A fold edge appears at position a in one face and position b in the
     other, traversed in opposite directions; tampering with any face
     (even one with no boundary corner) breaks the matching and raises
-    CompatibilityFailure.
+    CompatibilityFailure; a record unlike ``layout_to_json``'s raises
+    MalformedLayout.
     """
     faces = doc["faces"]
     for rec in doc.get("folds", ()):
-        (fa, pa), (fb, pb) = rec["a"], rec["b"]
-        ka, kb = len(faces[fa]), len(faces[fb])
-        pairs = (
-            (faces[fa][pa], faces[fb][(pb + 1) % kb]),
-            (faces[fa][(pa + 1) % ka], faces[fb][pb]),
-        )
-        for (ax, ay), (bx, by) in pairs:
-            if math.hypot(ax - bx, ay - by) > COMPAT_TOL:
-                raise CompatibilityFailure(
-                    f"fold edge {rec['edge']} disagrees between faces {fa} and {fb}"
-                )
+        try:
+            (fa, pa), (fb, pb) = rec["a"], rec["b"]
+            if min(fa, pa, fb, pb) < 0:  # not read from the end of a list
+                raise IndexError(min(fa, pa, fb, pb))
+            A, B = faces[fa], faces[fb]
+            for (ax, ay), (bx, by) in ((A[pa], B[(pb + 1) % len(B)]), (A[(pa + 1) % len(A)], B[pb])):
+                if not math.hypot(ax - bx, ay - by) <= COMPAT_TOL:  # NaN fails too
+                    raise CompatibilityFailure(f"fold edge {rec.get('edge')} disagrees between faces {fa} and {fb}")
+        except (LookupError, TypeError, ValueError) as exc:
+            raise MalformedLayout(f"malformed fold record {rec!r}") from exc
 
 
 def rebuild_boundary(doc: dict) -> BoundaryCurve:
@@ -415,38 +423,33 @@ def rebuild_boundary(doc: dict) -> BoundaryCurve:
 
     Points are recomputed from the face polygons via the stored
     (face, pos) provenance, so tampering with a face shows up as a torn
-    or mismatched boundary (CompatibilityFailure) or as an overlap.
+    or mismatched boundary (CompatibilityFailure) or as an overlap.  An
+    empty boundary or a record unlike ``layout_to_json``'s raises MalformedLayout.
     """
-    faces = doc["faces"]
-    points, duals, sources, vertices, provenance = [], [], [], [], []
+    faces, records = doc["faces"], []
     for rec in doc["boundary"]:
-        f, pos = int(rec["face"]), int(rec["pos"])
-        if f >= len(faces) or pos >= len(faces[f]):
-            raise CompatibilityFailure(f"boundary references missing corner ({f}, {pos})")
-        x, y = faces[f][pos]
-        points.append((float(x), float(y)))
-        duals.append(int(rec["dual"]))
-        sources.append(tuple(rec["edge"]))
-        vertices.append(int(rec["tail"]))
-        provenance.append((f, pos))
-    n = len(points)
-    if sorted(duals) != list(range(n)):
+        try:
+            f, pos, tail, (u, v), dual = rec["face"], rec["pos"], rec["tail"], rec["edge"], rec["dual"]
+            face = faces[f]
+            (x, y), (hx, hy) = face[pos], face[(pos + 1) % len(face)]
+        except (LookupError, TypeError, ValueError) as exc:
+            raise MalformedLayout(f"malformed boundary record {rec!r}") from exc
+        if not (
+            type(f) is type(pos) is type(tail) is type(u) is type(v) is type(dual) is int
+            and f >= 0 <= pos  # not read from the end of a list
+            and {type(x), type(y), type(hx), type(hy)} <= {int, float}
+        ):
+            raise MalformedLayout(f"malformed boundary record {rec!r}")
+        records.append((f, pos, tail, (u, v), dual))
+    if not records:
+        raise MalformedLayout("layout has an empty boundary")
+    if sorted(r[4] for r in records) != list(range(len(records))):
         raise CompatibilityFailure("dual indices are not a permutation of the segments")
-    curve = BoundaryCurve(points, duals, sources, vertices, provenance)
-    for i in range(n):
-        f, pos = provenance[i]
-        head = faces[f][(pos + 1) % len(faces[f])]
-        nxt = points[(i + 1) % n]
-        if math.hypot(head[0] - nxt[0], head[1] - nxt[1]) > COMPAT_TOL:
-            raise CompatibilityFailure(f"boundary breaks after segment {i}")
-        a, b = curve.segment(i)
-        c, d = curve.segment(duals[i])
-        la = math.hypot(b[0] - a[0], b[1] - a[1])
-        lb = math.hypot(d[0] - c[0], d[1] - c[1])
+    curve = _assemble_boundary(faces, records)
+    for i, j in enumerate(curve.duals):
+        la, lb = math.dist(*curve.segment(i)), math.dist(*curve.segment(j))
         if abs(la - lb) > COMPAT_TOL:
-            raise CompatibilityFailure(
-                f"dual segments {i} and {duals[i]} have lengths {la!r} != {lb!r}"
-            )
+            raise CompatibilityFailure(f"dual segments {i} and {j} have lengths {la!r} != {lb!r}")
     return curve
 
 
@@ -487,10 +490,9 @@ def export_svg(L: PlanarLayout, path, witnesses: Sequence = ()) -> None:
             f'<line class="fold" x1="{_fmt(a[0])}" y1="{_fmt(-a[1])}"'
             f' x2="{_fmt(b[0])}" y2="{_fmt(-b[1])}"/>'
         )
-    for i, rec in enumerate(S.boundary):
-        cyc = S.faces[rec.face]
-        a = L.face_points[rec.face][cyc.index(rec.tail)]
-        b = L.face_points[rec.face][cyc.index(rec.head)]
+    for rec in S.boundary:
+        pts = L.face_points[rec.face]
+        a, b = pts[rec.pos], pts[(rec.pos + 1) % len(pts)]
         out.append(
             f'<line class="cut" x1="{_fmt(a[0])}" y1="{_fmt(-a[1])}"'
             f' x2="{_fmt(b[0])}" y2="{_fmt(-b[1])}"/>'

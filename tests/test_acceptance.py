@@ -162,7 +162,7 @@ def test_criterion_4_winding_consistency(net_suite):
     report(
         4,
         nets_checked >= 100 and double >= 1,
-        f"{nets_checked} Net boundaries with grid+centroid windings in {{0,1}}; "
+        f"{nets_checked} Net boundaries with positive signed area (windings in {{0,1}}); "
         f"overlap layout has {double} face centroid(s) at winding 2",
     )
 

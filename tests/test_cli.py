@@ -111,6 +111,52 @@ def test_verify_empty_file_exit_2(tmp_path, capsys):
     assert run_cli("verify", "--input", empty) == 2
 
 
+def _corner_of_first_segment(doc, value):
+    rec = doc["boundary"][0]
+    x, y = doc["faces"][rec["face"]][rec["pos"]]
+    doc["faces"][rec["face"]][rec["pos"]] = value(x, y)
+
+
+MALFORMED = {
+    "fold-face-99": lambda doc: doc["folds"][0]["a"].__setitem__(0, 99),
+    "three-number-corner": lambda doc: _corner_of_first_segment(doc, lambda x, y: [x, y, 0.0]),
+    "dual-not-int": lambda doc: doc["boundary"][0].__setitem__("dual", "x"),
+    "dual-missing": lambda doc: doc["boundary"][0].pop("dual"),
+    "string-coordinate": lambda doc: _corner_of_first_segment(doc, lambda x, y: [str(x), y]),
+    "empty-boundary": lambda doc: doc.__setitem__("boundary", []),
+    "negative-face": lambda doc: doc["boundary"][0].__setitem__("face", -1),
+    "negative-pos": lambda doc: doc["boundary"][0].__setitem__("pos", -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_verify_malformed_layout_exit_2(case, tmp_path, capsys):
+    run_cli("unfold", "--input", DATA / "cube.off", "--out", tmp_path / "net", "--format", "json")
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "net.json").read_text())
+    MALFORMED[case](doc)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    assert run_cli("verify", "--input", tmp_path / "bad.json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_verify_nan_corner_off_the_boundary(tmp_path, capsys):
+    # every comparison with NaN is false, so a NaN corner that only fold
+    # edges read must still fail the fold check
+    run_cli("unfold", "--input", DATA / "cube.off", "--out", tmp_path / "net", "--format", "json")
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "net.json").read_text())
+    faces = doc["faces"]
+    read = {(r["face"], (r["pos"] + k) % len(faces[r["face"]])) for r in doc["boundary"] for k in (0, 1)}
+    f, p = next((f, p) for f, face in enumerate(faces) for p in range(len(face)) if (f, p) not in read)
+    faces[f][p][0] = float("nan")
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    assert run_cli("verify", "--input", tmp_path / "bad.json") == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == {"layout_consistency": False}
+
+
 def test_census_tetra_rows(tetra_off, tmp_path):
     out = tmp_path / "census.csv"
     code = run_cli("census", "--input", tetra_off, "--lambda-list", "auto", "--out", out)
