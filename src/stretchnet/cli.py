@@ -11,6 +11,7 @@ outputs are byte-deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -50,6 +51,12 @@ def _theta(value: str):
     if not (0.0 < theta < THETA_MAX_LIMIT):
         raise ValueError(f"theta-max must lie in (0, {THETA_MAX_LIMIT!r}), got {theta!r}")
     return theta
+
+
+def _positive(flag: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{flag} must be a positive finite number, got {value!r}")
+    return value
 
 
 def cmd_unfold(args) -> int:
@@ -103,8 +110,12 @@ def cmd_verify(args) -> int:
 def cmd_census(args) -> int:
     try:
         P = _load_mesh(args.input)
-        lambdas = [tok if tok == "auto" else float(tok) for tok in args.lambda_list.split(",")]
+        lambdas = [
+            tok if tok == "auto" else _positive("--lambda-list", float(tok))
+            for tok in args.lambda_list.split(",")
+        ]
         theta = _theta(args.theta_max)
+        _positive("--cap", args.cap)
     except (OSError, ValueError, UnfoldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -121,6 +132,7 @@ def cmd_sweep(args) -> int:
     try:
         P = _load_mesh(args.input)
         theta = _theta(args.theta_max)
+        _positive("--sweep-k", args.sweep_k)
     except (OSError, ValueError, UnfoldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,10 +37,6 @@ class NonPlanarFace(UnfoldError):
     """A face deviates from its best-fit plane beyond tolerance."""
 
 
-class NotAnEdge(UnfoldError):
-    """A vertex pair that is not a mesh edge was used as one."""
-
-
 class OrthogonalEdge(UnfoldError):
     """An edge is (near-)orthogonal to the stretch axis."""
 

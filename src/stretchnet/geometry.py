@@ -74,32 +74,9 @@ def arg(v: Vec2) -> float:
     return a
 
 
-def ccw_angle(y: Vec2, x: Vec2, z: Vec2) -> float:
-    """Angle at ``x`` swept counterclockwise from ray x->y to ray x->z, in [0, 2*pi)."""
-    ay = arg((y[0] - x[0], y[1] - x[1]))
-    az = arg((z[0] - x[0], z[1] - x[1]))
-    return (az - ay) % TWO_PI
-
-
 def orient_raw(a: Vec2, b: Vec2, c: Vec2) -> float:
     """Twice the signed area of triangle abc (positive for counterclockwise)."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def orient2d(a: Vec2, b: Vec2, c: Vec2) -> int:
-    """Sign of the doubled signed area of abc: +1 ccw, -1 cw, 0 if within EPS of collinear.
-
-    The area is evaluated on the points in sorted order and the sign
-    flipped for an odd permutation, so every ordering of the same three
-    points rounds alike and the predicate is exactly antisymmetric.
-    """
-    pts = [(float(p[0]), float(p[1])) for p in (a, b, c)]
-    order = sorted(range(3), key=pts.__getitem__)
-    d = orient_raw(*(pts[k] for k in order))
-    if abs(d) <= EPS:
-        return 0
-    even = order in ([0, 1, 2], [1, 2, 0], [2, 0, 1])
-    return 1 if (d > 0.0) == even else -1
 
 
 # -- contact and winding kernels -------------------------------------------

@@ -1,12 +1,13 @@
-"""Convex polyhedron representation, OFF I/O, and intrinsic angles.
+"""Convex polyhedron representation and OFF I/O.
 
 A Polyhedron is immutable after construction and validated once, on
 ingestion: closed orientable surface with sphere topology, planar convex
 faces oriented counterclockwise as seen from outside, every vertex an
-extreme point of the hull, and total intrinsic angle below 2*pi at each
-vertex.  Coordinates are normalized to unit bounding-box diameter.
-Validation is vectorised over flat per-corner arrays, with one Newell
-normal per face and the plane test run in blocks of faces.  A linear map
+extreme point of the hull, and every cone angle (the sum of a vertex's
+corner angles) below 2*pi.  Coordinates are normalized to unit
+bounding-box diameter.  Validation is vectorised over flat per-corner
+arrays, with one Newell normal per face and the plane test run in
+blocks of faces.  A linear map
 with positive determinant preserves every validated property, so
 ``Polyhedron.transformed`` shares the combinatorics and maps only the
 vertices; vertex-derived data is computed on first use, once per mesh.
@@ -23,11 +24,9 @@ from typing import IO, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from . import verdict as vd
 from .errors import (
     CoplanarFacesWarning,
     NonPlanarFace,
-    NotAnEdge,
     NotClosed,
     NotConvex,
     OffParseError,
@@ -319,38 +318,6 @@ class Polyhedron:
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edge_index
 
-    def corner_angle(self, face: int, pos: int) -> float:
-        """Interior angle of ``face`` at cycle position ``pos``."""
-        return float(self.corner_angles[self.corners.start[face] + pos % len(self.faces[face])])
-
-    def ccw_neighbor(self, a: int, b: int) -> tuple[int, int]:
-        """From edge a->b, the next neighbor of ``a`` counterclockwise (seen from outside).
-
-        Returns (next_vertex, face crossed), where the face is the one
-        containing the directed edge a->b.
-        """
-        fi, pos = self.half[(a, b)]
-        cyc = self.faces[fi]
-        prev = cyc[(pos - 1) % len(cyc)]
-        return prev, fi
-
-    def vertex_star(self, a: int) -> tuple[int, ...]:
-        """Neighbors of ``a`` in counterclockwise order (seen from outside)."""
-        b0 = self.adjacency[a][0]
-        star = [b0]
-        cur = b0
-        while True:
-            cur, _ = self.ccw_neighbor(a, cur)
-            if cur == b0:
-                break
-            star.append(cur)
-            if len(star) > len(self.adjacency[a]):
-                raise NotClosed(f"vertex {a} has a broken edge fan")
-        return tuple(star)
-
-    def cone_angle(self, a: int) -> float:
-        """Total intrinsic angle around vertex ``a``."""
-        return float(self.cone_angles[a])
 
 
 def local_coords(pts3d: np.ndarray) -> np.ndarray:
@@ -498,46 +465,6 @@ def export_off(P: Polyhedron) -> str:
     for cyc in P.faces:
         out.append(str(len(cyc)) + " " + " ".join(str(i) for i in cyc))
     return "\n".join(out) + "\n"
-
-
-# -- intrinsic angles ----------------------------------------------------
-
-
-def intrinsic_angle(P: Polyhedron, a: int, b: int, c: int) -> float:
-    """Surface angle at ``a`` swept counterclockwise from edge ab to edge ac.
-
-    The sweep direction is counterclockwise as seen from outside; the
-    result is the sum of the face-corner angles crossed, in [0, 2*pi).
-    """
-    for other in (b, c):
-        if not P.has_edge(a, other):
-            raise NotAnEdge(f"({a}, {other}) is not an edge")
-    if b == c:
-        return 0.0
-    total = 0.0
-    cur = b
-    for _ in range(len(P.adjacency[a]) + 1):
-        nxt, face = P.ccw_neighbor(a, cur)
-        total += P.corner_angle(face, P.faces[face].index(a))
-        cur = nxt
-        if cur == c:
-            return total
-    raise NotAnEdge(f"edge ({a}, {c}) not reachable in the fan of {a}")
-
-
-def check_alexandrov(P: Polyhedron) -> vd.Verdict:
-    """Check that every vertex has total intrinsic angle strictly below 2*pi.
-
-    Equivalently, for every pair of edges ab, ac the two intrinsic angles
-    between them sum below 2*pi.  Returns a witness triple on violation.
-    """
-    flat = np.flatnonzero(P.cone_angles >= TWO_PI - EPS)
-    if flat.size:
-        a = int(flat[0])
-        star = P.vertex_star(a)
-        w = vd.Witness(note=f"vertex {a}: angle {P.cone_angle(a)!r} via edges to {star[0]} and {star[1 % len(star)]}")
-        return vd.Verdict(vd.Status.PRECONDITION_FAILURE, (w,), {"alexandrov": False})
-    return vd.Verdict(vd.Status.NET, (), {"alexandrov": True})
 
 
 def edge_graph(P: Polyhedron) -> Mapping[int, tuple[int, ...]]:

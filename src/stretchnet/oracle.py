@@ -79,13 +79,6 @@ def census_csv(rows: Sequence[CensusRow]) -> str:
     return "\n".join(out) + "\n"
 
 
-def overlap_fraction(rows: Sequence[CensusRow], lam: float) -> float:
-    """Share of trees whose unfolding overlaps at the given lambda (reported,
-    not asserted: no monotonicity in lambda is claimed)."""
-    sel = [r for r in rows if r.lam == lam]
-    return sum(r.verdict is Status.OVERLAP for r in sel) / len(sel)
-
-
 # -- matrix-tree count ------------------------------------------------------
 
 

@@ -58,18 +58,17 @@ class Stretch:
 
 @dataclass(frozen=True)
 class EdgeAngleReport:
-    """Per-edge angles to the x-axis, plus the maximum and where it occurs."""
+    """The largest edge angle to the x-axis and the edge where it occurs."""
 
-    angles: tuple
     max_angle: float
     max_edge: tuple
 
 
 def edge_angle_report(P: Polyhedron) -> EdgeAngleReport:
     d = P.edge_vectors
-    angles = np.arctan2(np.hypot(d[:, 1], d[:, 2]), np.abs(d[:, 0]))
-    i = int(np.argmax(angles))
-    return EdgeAngleReport(tuple(float(a) for a in angles), float(angles[i]), P.edges[i])
+    tilt = np.arctan2(np.hypot(d[:, 1], d[:, 2]), np.abs(d[:, 0]))
+    i = int(np.argmax(tilt))
+    return EdgeAngleReport(float(tilt[i]), P.edges[i])
 
 
 def _quaternion_matrix(q: np.ndarray) -> np.ndarray:

@@ -17,24 +17,22 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import verdict as vd
 from .errors import NoRightwardEdge, NotSpanningTree
 from .mesh import Polyhedron
 
 
 @dataclass(frozen=True)
 class VertexOrder:
-    """Vertices ordered by x-coordinate, ties broken by index."""
+    """The x-extreme vertices, ties broken by index: the smallest index
+    wins for ``x_min``, the largest for ``x_max``."""
 
-    keys: tuple
     x_min: int
     x_max: int
 
 
 def vertex_order(P: Polyhedron) -> VertexOrder:
-    keys = tuple((float(x), i) for i, x in enumerate(P.x))
-    return VertexOrder(keys, min(range(len(keys)), key=keys.__getitem__),
-                       max(range(len(keys)), key=keys.__getitem__))
+    ranked = [(float(x), i) for i, x in enumerate(P.x)]
+    return VertexOrder(min(ranked)[1], max(ranked)[1])
 
 
 class TieRule(Enum):
@@ -60,32 +58,9 @@ class SpanningTree:
             (min(v, p), max(v, p)) for v, p in enumerate(self.parent) if v != self.root
         )
 
-    def children(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {v: [] for v in range(len(self.parent))}
-        for v, p in enumerate(self.parent):
-            if v != self.root:
-                out[p].append(v)
-        return out
-
-    def leaves(self) -> tuple[int, ...]:
-        kids = self.children()
-        return tuple(v for v in range(len(self.parent)) if v != self.root and not kids[v])
-
     def to_json(self) -> dict:
         pairs = [[v, p] for v, p in enumerate(self.parent) if v != self.root]
         return {"pairs": pairs, "root": self.root}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SpanningTree":
-        root = int(data["root"])
-        pairs = [(int(c), int(p)) for c, p in data["pairs"]]
-        parent = [None] * (len(pairs) + 1)
-        parent[root] = root
-        for c, p in pairs:
-            parent[c] = p
-        if any(p is None for p in parent):
-            raise NotSpanningTree("pairs do not cover every non-root vertex")
-        return cls(root, tuple(parent))
 
     @classmethod
     def from_edges(cls, n_vertices: int, edges: Iterable, root: int) -> "SpanningTree":
@@ -161,12 +136,6 @@ def is_increasing(Q: Polyhedron, T: SpanningTree) -> bool:
     """True iff every tree edge (v, parent) satisfies x(parent) >= x(v)."""
     x = Q.x
     return all(x[p] >= x[v] for v, p in enumerate(T.parent) if v != T.root)
-
-
-def count_increasing_trees(Q: Polyhedron) -> int:
-    """Product over non-root vertices of their strictly-rightward degree."""
-    _, vs, rw = _rightward_choices(Q)
-    return math.prod(len(rw[v]) for v in vs)
 
 
 def enumerate_increasing_trees(Q: Polyhedron) -> Iterator[SpanningTree]:
@@ -266,20 +235,3 @@ def enumerate_spanning_trees(Q: Polyhedron, cap: Optional[int] = None) -> Iterat
     for ids in gen:
         yield SpanningTree.from_edges(Q.n_vertices, [Q.edges[i] for i in ids], root)
 
-
-def terminal_edge_check(Q: Polyhedron, T: SpanningTree, bound: float = math.pi / 10.0) -> vd.Verdict:
-    """Check that every leaf edge, oriented leaf -> parent, points rightward.
-
-    The leaf edge direction (dx, dy, dz) is judged by the development
-    convention (dx, sqrt(dy^2 + dz^2)); passing means its angle to the
-    positive x-axis stays below ``bound``.
-    """
-    witnesses = []
-    for leaf in T.leaves():
-        d = Q.vertices[T.parent[leaf]] - Q.vertices[leaf]
-        angle = math.atan2(math.hypot(d[1], d[2]), d[0])
-        if not (-bound < angle < bound):
-            witnesses.append(vd.Witness(note=f"leaf {leaf}: edge angle {angle!r} outside (+-{bound!r})"))
-    if witnesses:
-        return vd.Verdict(vd.Status.PRECONDITION_FAILURE, tuple(witnesses), {"terminal_edges": False})
-    return vd.Verdict(vd.Status.NET, (), {"terminal_edges": True})

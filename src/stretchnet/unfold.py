@@ -10,7 +10,9 @@ polyline with the two copies of each cut edge marked as duals.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -44,8 +46,6 @@ class CutSurface:
 
     faces: tuple                    # vertex cycles
     face_points3d: tuple            # per face, (k, 3) coordinate array (the mesh's own, read-only)
-    cut_edges: frozenset
-    fold_edges: frozenset
     fold_adjacency: dict            # fold edge -> ((face_a, pos_a), (face_b, pos_b))
     boundary: tuple                 # BoundaryEdge cycle, counterclockwise from a copy of the minimal vertex
     tree: Optional[SpanningTree] = None
@@ -69,14 +69,12 @@ class BoundaryCurve:
     """Closed polyline image of the disc boundary with dual annotations.
 
     Segment i runs from points[i] to points[(i+1) % n]; it is the image
-    of boundary edge i of the cut surface.
+    of boundary edge i of the cut surface, and ``duals[i]`` is the index
+    of the segment that is the other copy of the same cut edge.
     """
 
     points: list
     duals: list
-    source_edges: list
-    source_vertices: list
-    provenance: list                # per segment, (face, pos) in the layout
 
     def __len__(self) -> int:
         return len(self.points)
@@ -122,10 +120,11 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
     x-minimal vertex.
     """
     _check_spanning(Q, T)
-    cut_set = frozenset(T.edges)
-    fold_set = frozenset(e for e in Q.edges if e not in cut_set)
+    cut_set = T.edges
     # fold edges of a spanning tree connect all faces; the walk below rejects other cut sets
-    fold_adjacency = {(u, v): (Q.half[(u, v)], Q.half[(v, u)]) for u, v in fold_set}
+    fold_adjacency = {
+        (u, v): (Q.half[(u, v)], Q.half[(v, u)]) for u, v in Q.edges if (u, v) not in cut_set
+    }
 
     def next_in_face(face: int, pos: int) -> tuple[int, int]:
         return face, (pos + 1) % len(Q.faces[face])
@@ -177,8 +176,6 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
     return CutSurface(
         faces=Q.faces,
         face_points3d=Q.face_points3d,
-        cut_edges=cut_set,
-        fold_edges=fold_set,
         fold_adjacency=fold_adjacency,
         boundary=tuple(records),
         tree=T,
@@ -244,22 +241,18 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
         for g, e in neighbors[f]:
             if g in seen:
                 continue
-            (fa, pa), (fb, pb) = S.fold_adjacency[e]
+            (fa, pa), (_, pb) = S.fold_adjacency[e]
             if fa != f:
-                (fa, pa), (fb, pb) = (fb, pb), (fa, pa)
-            cyc_f, cyc_g = S.faces[fa], S.faces[fb]
-            a = cyc_f[pa]
-            b = cyc_f[(pa + 1) % len(cyc_f)]
-            ga = face_points[f][cyc_f.index(a)]
-            gb = face_points[f][cyc_f.index(b)]
-            la = local[g][cyc_g.index(a)]
-            lb = local[g][cyc_g.index(b)]
+                pa, pb = pb, pa
+            # the fold runs a -> b from position pa in f, and b -> a from pb in g
+            ga, gb = face_points[f][pa], face_points[f][(pa + 1) % len(local[f])]
+            lb, la = local[g][pb], local[g][(pb + 1) % len(local[g])]
             phi = math.atan2(gb[1] - ga[1], gb[0] - ga[0]) - math.atan2(
                 lb[1] - la[1], lb[0] - la[0]
             )
             c, s = math.cos(phi), math.sin(phi)
             place(g, c, s, ga[0] - (c * la[0] - s * la[1]), ga[1] - (s * la[0] + c * la[1]))
-            gb2 = face_points[g][cyc_g.index(b)]
+            gb2 = face_points[g][pb]
             mismatch = math.hypot(gb2[0] - gb[0], gb2[1] - gb[1])
             max_mismatch = max(max_mismatch, mismatch)
             if mismatch > COMPAT_TOL:
@@ -285,39 +278,35 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     )
 
 
-def boundary_curve(L: PlanarLayout, S: Optional[CutSurface] = None) -> BoundaryCurve:
+def boundary_curve(L: PlanarLayout) -> BoundaryCurve:
     """Planar image of the disc boundary, counterclockwise, starting at y'.
 
     Corner i is the image of boundary edge i's tail vertex in its own
     face; consecutive corners agree across the fold fan within the
     development tolerance.
     """
-    S = L.surface if S is None else S
-    return _assemble_boundary(L.face_points, ((r.face, r.pos, r.tail, r.edge, r.dual) for r in S.boundary))
+    return _assemble_boundary(L.face_points, ((r.face, r.pos, r.dual) for r in L.surface.boundary))
 
 
 def _assemble_boundary(face_points: Sequence, records: Iterable) -> BoundaryCurve:
     """The polyline through corner ``face_points[face][pos]`` of each
-    ``(face, pos, tail, edge, dual)`` record, in order.
+    ``(face, pos, dual)`` record, in order.
 
     Raises CompatibilityFailure where the head of segment i, the corner
     after ``pos`` in its face, lies more than COMPAT_TOL from corner i + 1.
     """
-    points, heads, duals, sources, vertices, provenance = [], [], [], [], [], []
-    for f, pos, tail, edge, dual in records:
+    points, heads, duals = [], [], []
+    for f, pos, dual in records:
         face = face_points[f]
         x, y = face[pos]
         points.append((float(x), float(y)))
         heads.append(face[(pos + 1) % len(face)])
         duals.append(dual)
-        sources.append(edge)
-        vertices.append(tail)
-        provenance.append((f, pos))
     for i, (head, nxt) in enumerate(zip(heads, [*points[1:], *points[:1]])):
         gap = math.hypot(head[0] - nxt[0], head[1] - nxt[1])
         if gap > COMPAT_TOL:
             raise CompatibilityFailure(f"boundary breaks after segment {i} by {gap:.3e}")
-    return BoundaryCurve(points, duals, sources, vertices, provenance)
+    return BoundaryCurve(points, duals)
 
 
 # -- serialization --------------------------------------------------------
@@ -343,8 +332,6 @@ def _json_dumps(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -381,18 +368,13 @@ def export_json(L: PlanarLayout, path, meta: Optional[dict] = None) -> None:
         fh.write(layout_to_json(L, meta))
 
 
-def load_layout_json(source: Union[str, IO]) -> dict:
-    """Parse a layout JSON document (text, path-like, or file object)."""
-    import json
-
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(text) as fh:
-                text = fh.read()
-    return json.loads(text)
+def load_layout_json(source: Union[str, os.PathLike, IO]) -> dict:
+    """Parse a layout JSON document: a ``str`` is the text itself, a
+    path-like is opened and a file object is read."""
+    if isinstance(source, os.PathLike):
+        with open(source) as fh:
+            return json.load(fh)
+    return json.loads(source.read() if hasattr(source, "read") else source)
 
 
 def check_fold_consistency(doc: dict) -> None:
@@ -421,8 +403,8 @@ def check_fold_consistency(doc: dict) -> None:
 def rebuild_boundary(doc: dict) -> BoundaryCurve:
     """Reassemble the boundary polyline of a stored layout from its faces.
 
-    Points are recomputed from the face polygons via the stored
-    (face, pos) provenance, so tampering with a face shows up as a torn
+    Points are recomputed from the face polygons at each record's stored
+    face and pos, so tampering with a face shows up as a torn
     or mismatched boundary (CompatibilityFailure) or as an overlap.  An
     empty boundary or a record unlike ``layout_to_json``'s raises MalformedLayout.
     """
@@ -440,10 +422,10 @@ def rebuild_boundary(doc: dict) -> BoundaryCurve:
             and {type(x), type(y), type(hx), type(hy)} <= {int, float}
         ):
             raise MalformedLayout(f"malformed boundary record {rec!r}")
-        records.append((f, pos, tail, (u, v), dual))
+        records.append((f, pos, dual))
     if not records:
         raise MalformedLayout("layout has an empty boundary")
-    if sorted(r[4] for r in records) != list(range(len(records))):
+    if sorted(r[2] for r in records) != list(range(len(records))):
         raise CompatibilityFailure("dual indices are not a permutation of the segments")
     curve = _assemble_boundary(faces, records)
     for i, j in enumerate(curve.duals):

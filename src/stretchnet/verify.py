@@ -389,10 +389,10 @@ def face_centroids(faces) -> list:
     return [(sum(x for x, _ in pts) / len(pts), sum(y for _, y in pts) / len(pts)) for pts in faces]
 
 
-def certify_net(L: PlanarLayout, S=None) -> Verdict:
+def certify_net(L: PlanarLayout) -> Verdict:
     """Certify a developed layout: net, overlap (with witnesses), or
     precondition failure, from its boundary curve alone."""
-    return certify_boundary(boundary_curve(L, S))
+    return certify_boundary(boundary_curve(L))
 
 
 def decomposition_prefixes(B: BoundaryCurve, D: BoundaryDecomposition) -> list:

@@ -185,8 +185,8 @@ def test_census_rows_match_the_reference(off, monkeypatch):
     shipped = oracle.census(P, lambdas=(1.0, "auto"))
     probes = []
 
-    def reference_net(L, S=None):
-        verdict = reference.certify_boundary(boundary_curve(L, S), interior_probes=face_centroids(L))
+    def reference_net(L):
+        verdict = reference.certify_boundary(boundary_curve(L), interior_probes=face_centroids(L))
         probes.append(sum(map(is_grid_probe, verdict.witnesses)))
         return verdict
 

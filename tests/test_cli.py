@@ -105,6 +105,15 @@ def test_verify_corrupted_layout(tetra_off, tmp_path, capsys):
     assert status in ("overlap", "precondition_failure")
 
 
+def test_verify_file_name_starting_with_a_brace(tetra_off, tmp_path, monkeypatch, capsys):
+    # a relative path such as {net}.json names a file, not JSON text
+    monkeypatch.chdir(tmp_path)
+    run_cli("unfold", "--input", tetra_off, "--out", "{net}", "--format", "json")
+    capsys.readouterr()
+    assert run_cli("verify", "--input", "{net}.json") == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "net"
+
+
 def test_verify_empty_file_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("")
@@ -175,6 +184,24 @@ def test_sweep_rows(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 13
     assert lines[0] == "x,y,z,lambda,status"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--cap", "0"),
+        ("sweep", "--sweep-k", "0"),
+        ("census", "--lambda-list", "0"),
+        ("census", "--lambda-list", "-1"),
+        ("census", "--lambda-list", "1,nan"),
+    ],
+    ids=["cap-0", "sweep-k-0", "lambda-0", "lambda-minus-1", "lambda-nan"],
+)
+def test_bad_count_or_lambda_exit_2(argv, tetra_off, capsys):
+    assert run_cli(*argv, "--input", tetra_off) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_outputs_deterministic(tetra_off, tmp_path, capsys):

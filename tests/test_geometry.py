@@ -1,14 +1,12 @@
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from stretchnet.errors import DegenerateDirection, DegenerateSegment, PointOnBoundary
 from stretchnet.geometry import (
     EndpointPolicy,
     arg,
-    ccw_angle,
-    orient2d,
     segment_distance,
     segments_intersect,
     winding_number,
@@ -42,41 +40,6 @@ def test_arg_range_and_antipode(v):
     assert -math.pi < a <= math.pi
     b = arg((-x, -y))
     assert abs((a - b) % (2 * math.pi) - math.pi) < 1e-12
-
-
-def test_ccw_angle_quarter_turns():
-    assert ccw_angle((1, 0), (0, 0), (0, 1)) == pytest.approx(math.pi / 2)
-    assert ccw_angle((0, 1), (0, 0), (1, 0)) == pytest.approx(3 * math.pi / 2)
-    assert ccw_angle((1, 0), (0, 0), (1, 0)) == 0.0
-
-
-def test_ccw_angle_coincident_point():
-    with pytest.raises(DegenerateDirection):
-        ccw_angle((0, 0), (0, 0), (1, 1))
-
-
-@given(coord, coord)
-def test_ccw_angle_complement(y, z):
-    x = (0.0, 0.0)
-    if math.hypot(*y) <= 1e-6 or math.hypot(*z) <= 1e-6:
-        return
-    a = ccw_angle(y, x, z)
-    b = ccw_angle(z, x, y)
-    if a > 1e-9 and b > 1e-9:
-        assert a + b == pytest.approx(2 * math.pi)
-
-
-def test_orient2d_basic():
-    assert orient2d((0, 0), (1, 0), (0, 1)) == 1
-    assert orient2d((0, 0), (0, 1), (1, 0)) == -1
-    assert orient2d((0, 0), (1, 1), (2, 2)) == 0
-
-
-@given(coord, coord, coord)
-@example((0.0, 1e-9), (1.0, -1.0), (0.0, 0.0))
-def test_orient2d_antisymmetry(a, b, c):
-    assert orient2d(a, b, c) == -orient2d(b, a, c)
-    assert orient2d(a, b, c) == -orient2d(a, c, b)
 
 
 def test_segments_intersect_crossing():

@@ -7,17 +7,14 @@ from stretchnet import shapes
 from stretchnet.errors import (
     CoplanarFacesWarning,
     NonPlanarFace,
-    NotAnEdge,
     NotClosed,
     NotConvex,
     OffParseError,
 )
 from stretchnet.mesh import (
     Polyhedron,
-    check_alexandrov,
     edge_graph,
     export_off,
-    intrinsic_angle,
     load_off,
 )
 
@@ -112,43 +109,20 @@ def test_faces_reoriented_outward():
 
 
 def test_intrinsic_angle_tetrahedron(tetra):
-    a = 0
-    b, c, d = tetra.adjacency[a]
-    one_face = intrinsic_angle(tetra, a, b, c)
-    other_way = intrinsic_angle(tetra, a, c, b)
-    assert {round(one_face, 9), round(other_way, 9)} == {
-        round(math.pi / 3, 9),
-        round(2 * math.pi / 3, 9),
-    }
-    # full cone angle of a regular tetrahedron vertex is pi
-    assert one_face + other_way == pytest.approx(math.pi)
-    assert intrinsic_angle(tetra, a, b, b) == 0.0
-
-
-def test_intrinsic_angle_requires_edges(cube):
-    a = 0
-    non_neighbor = next(v for v in range(8) if v != a and v not in cube.adjacency[a])
-    with pytest.raises(NotAnEdge):
-        intrinsic_angle(cube, a, cube.adjacency[a][0], non_neighbor)
-
-
-def test_intrinsic_angle_complement_property(icosa):
-    a = 3
-    nbrs = icosa.adjacency[a]
-    cone = icosa.cone_angle(a)
-    for c in nbrs[1:]:
-        total = intrinsic_angle(icosa, a, nbrs[0], c) + intrinsic_angle(icosa, a, c, nbrs[0])
-        assert total == pytest.approx(cone)
+    # every corner of a regular tetrahedron is pi/3, so every cone angle is pi
+    np.testing.assert_allclose(tetra.corner_angles, math.pi / 3, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(tetra.cone_angles, math.pi, rtol=0.0, atol=1e-12)
 
 
 def test_cone_angles_cube(cube):
     for v in range(cube.n_vertices):
-        assert cube.cone_angle(v) == pytest.approx(3 * math.pi / 2)
+        assert cube.cone_angles[v] == pytest.approx(3 * math.pi / 2)
 
 
 def test_check_alexandrov_platonic():
+    # Alexandrov's condition: every cone angle below 2*pi
     for P in shapes.platonic_solids().values():
-        assert check_alexandrov(P).ok
+        assert (P.cone_angles < 2 * math.pi).all()
 
 
 def test_edge_graph_regularity(tetra, cube, icosa):
@@ -187,12 +161,6 @@ def test_coplanar_faces_warn_but_load():
 def test_build_requires_factory():
     with pytest.raises(TypeError):
         Polyhedron(np.zeros((4, 3)), ())
-
-
-def test_vertex_star_order(cube):
-    star = cube.vertex_star(0)
-    assert sorted(star) == list(cube.adjacency[0])
-    assert len(star) == 3
 
 
 def test_flat_doubly_covered_square_rejected():

@@ -47,8 +47,8 @@ def test_cut_boundary_length_tetra(tetra):
     for T in enumerate_spanning_trees(tetra):
         S = cut(tetra, T)
         assert len(S.boundary) == 6  # 2 (V - 1)
-        assert len(S.cut_edges) == 3
-        assert len(S.fold_edges) == 3
+        assert len(S.fold_adjacency) == 3
+        assert S.fold_adjacency.keys().isdisjoint(T.edges)
 
 
 def test_cut_boundary_length_cube(cube):
@@ -87,8 +87,6 @@ def test_develop_single_triangle_fixture():
     S = CutSurface(
         faces=((0, 1, 2),),
         face_points3d=(pts3d,),
-        cut_edges=frozenset({(0, 1), (1, 2), (0, 2)}),
-        fold_edges=frozenset(),
         fold_adjacency={},
         boundary=boundary,
     )

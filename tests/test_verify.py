@@ -31,9 +31,6 @@ def synthetic_boundary(points):
     return BoundaryCurve(
         points=[(float(x), float(y)) for x, y in points],
         duals=list(range(n)),
-        source_edges=[(0, 0)] * n,
-        source_vertices=list(range(n)),
-        provenance=[(0, i) for i in range(n)],
     )
 
 
@@ -352,8 +349,6 @@ def test_two_face_strip_certifies_net():
             np.array([pts[i] for i in face_a]),
             np.array([pts[i] for i in face_b]),
         ),
-        cut_edges=frozenset({(0, 1), (1, 3), (2, 3), (0, 2)}),
-        fold_edges=frozenset({(1, 2)}),
         fold_adjacency={(1, 2): ((0, 1), (1, 2))},
         boundary=boundary,
     )
