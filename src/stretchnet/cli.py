@@ -59,6 +59,17 @@ def _positive(flag: str, value: float):
     return value
 
 
+def _inconsistent_layout(exc: CompatibilityFailure) -> int:
+    """Print the verdict for a layout whose faces disagree; exit code 1."""
+    verdict = {
+        "status": Status.PRECONDITION_FAILURE.value,
+        "witnesses": [{"seg_a": None, "seg_b": None, "point": None, "note": str(exc)}],
+        "checks": {"layout_consistency": False},
+    }
+    print(_json_dumps(verdict))
+    return 1
+
+
 def cmd_unfold(args) -> int:
     try:
         P = _load_mesh(args.input)
@@ -66,7 +77,10 @@ def cmd_unfold(args) -> int:
     except (OSError, ValueError, UnfoldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    run = stretch_and_unfold(P, theta_max=theta, tie_rule=_TIE_RULES[args.tie_rule], seed=args.seed)
+    try:
+        run = stretch_and_unfold(P, theta_max=theta, tie_rule=_TIE_RULES[args.tie_rule], seed=args.seed)
+    except CompatibilityFailure as exc:  # the development broke: no artefacts
+        return _inconsistent_layout(exc)
     meta = {
         "lambda": run.stretch.lam,
         "theta_max": run.stretch.theta_max,
@@ -92,13 +106,7 @@ def cmd_verify(args) -> int:
         check_fold_consistency(doc)
         boundary = rebuild_boundary(doc)
     except CompatibilityFailure as exc:
-        verdict = {
-            "status": Status.PRECONDITION_FAILURE.value,
-            "witnesses": [{"seg_a": None, "seg_b": None, "point": None, "note": str(exc)}],
-            "checks": {"layout_consistency": False},
-        }
-        print(_json_dumps(verdict))
-        return 1
+        return _inconsistent_layout(exc)
     except (OSError, ValueError, MalformedLayout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

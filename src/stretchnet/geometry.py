@@ -5,9 +5,7 @@ over segment pairs or sample points; the certificate, the arm oracle and
 the scalar functions here all call the same kernels.  A single absolute
 tolerance ``EPS`` governs collinearity, point-on-segment and
 point-on-curve decisions.  Meshes are rescaled to unit bounding-box
-diameter on load, so one absolute epsilon is adequate everywhere.  The
-``UNFOLD_EPS`` environment variable overrides it (testing only); any
-value but a positive finite number raises ValueError at import.
+diameter on load, so one absolute epsilon is adequate everywhere.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -15,7 +13,6 @@ All functions here are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-import os
 from enum import Enum
 from typing import Sequence
 
@@ -26,18 +23,7 @@ from .errors import DegenerateDirection, DegenerateSegment, PointOnBoundary
 Vec2 = Sequence[float]
 
 
-def _eps_from_env() -> float:
-    raw = os.environ.get("UNFOLD_EPS", "1e-9")
-    try:
-        eps = float(raw)
-    except ValueError:
-        eps = math.nan
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"UNFOLD_EPS must be a positive finite number, got {raw!r}")
-    return eps
-
-
-EPS = _eps_from_env()
+EPS = 1e-9
 
 TWO_PI = 2.0 * math.pi
 

@@ -11,6 +11,12 @@ blocks of faces.  A linear map
 with positive determinant preserves every validated property, so
 ``Polyhedron.transformed`` shares the combinatorics and maps only the
 vertices; vertex-derived data is computed on first use, once per mesh.
+
+The corner arrays are the mesh's one half-edge structure.  Corner ``c``
+runs from ``vertex[c]`` to ``vertex[next[c]]`` in face ``face[c]``, at
+position ``c - start[face[c]]`` of its cycle, and ``twin[c]`` is the
+corner of the neighbouring face that runs the other way.  Twins, edges,
+edge faces and adjacency all come from one sort of the directed edges.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import copy
 import itertools
 import warnings
 from functools import cached_property
-from typing import IO, Mapping, NamedTuple, Sequence, Union
+from typing import IO, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -48,6 +54,7 @@ class Corners(NamedTuple):
     next: np.ndarray    # next corner of the same face
     prev: np.ndarray    # previous corner of the same face
     start: np.ndarray   # first corner of each face
+    twin: Optional[np.ndarray] = None  # corner running the other way (set by Polyhedron)
 
 
 def _corners(cycles) -> Corners:
@@ -70,7 +77,8 @@ class Polyhedron:
     edges : tuple of (u, v) pairs with u < v, sorted.
     edge_faces : per edge, the pair of incident face indices.
     edge_ends : (E, 2) int array of ``edges``.
-    corners : flat per-corner arrays of ``faces`` (see ``Corners``).
+    corners : flat per-corner arrays of ``faces`` with their ``twin``
+        corners, the half-edges of the mesh (see ``Corners``).
     n_edges : edge count (the N of the stretch bound pi / (20 N)).
     """
 
@@ -181,29 +189,37 @@ class Polyhedron:
         return Q
 
     def _derive(self):
-        half: dict[tuple[int, int], tuple[int, int]] = {}
-        for fi, cyc in enumerate(self.faces):
-            for pos, (a, b) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
-                if (a, b) in half:
-                    raise NotClosed(f"directed edge {a}->{b} appears twice (inconsistent orientation)")
-                half[(a, b)] = (fi, pos)
-        edge_faces: dict[tuple[int, int], list[int]] = {}
-        for (a, b), (fi, _) in half.items():
-            edge_faces.setdefault((min(a, b), max(a, b)), []).append(fi)
-        for e, fs in edge_faces.items():
-            if len(fs) != 2:
-                raise NotClosed(f"edge {e} borders {len(fs)} face(s), expected 2")
-        self.half = half
-        self.edges = tuple(sorted(edge_faces))
-        self.edge_index = {e: i for i, e in enumerate(self.edges)}
-        self.edge_faces = tuple(tuple(edge_faces[e]) for e in self.edges)
-        self.edge_ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        adj: list[set[int]] = [set() for _ in range(len(self.vertices))]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        self.adjacency = tuple(tuple(sorted(s)) for s in adj)
-        self.corners = _corners(self.faces)
+        """Twin corners, edges, edge faces and adjacency from one sort of
+        the directed-edge keys ``tail * V + head``."""
+        c = _corners(self.faces)
+        nv = len(self.vertices)
+        tail, head = c.vertex, c.vertex[c.next]
+        key = tail * nv + head
+        order = np.argsort(key, kind="stable")
+        keys = key[order]
+        repeats = order[1:][keys[1:] == keys[:-1]]
+        if repeats.size:
+            k = int(repeats.min())
+            raise NotClosed(f"directed edge {int(tail[k])}->{int(head[k])} appears twice (inconsistent orientation)")
+        back = head * nv + tail
+        at = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
+        lone = np.flatnonzero(keys[at] != back)
+        if lone.size:
+            k = int(lone[0])
+            e = (int(min(tail[k], head[k])), int(max(tail[k], head[k])))
+            raise NotClosed(f"edge {e} borders 1 face(s), expected 2")
+        twin = order[at]
+        self.corners = c._replace(twin=twin)
+        # in key order, the corners that run from the smaller vertex are the sorted edges
+        ec = order[tail[order] < head[order]]
+        self.edge_ends = np.stack([tail[ec], head[ec]], axis=1)
+        self.edges = tuple(map(tuple, self.edge_ends.tolist()))
+        first, second = np.minimum(ec, twin[ec]), np.maximum(ec, twin[ec])
+        self.edge_faces = tuple(zip(c.face[first].tolist(), c.face[second].tolist()))
+        # the sorted keys, grouped by tail, list each vertex's neighbours in order
+        ends = np.cumsum(np.bincount(tail, minlength=nv)).tolist()
+        heads = head[order].tolist()
+        self.adjacency = tuple(tuple(heads[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends))
 
     def _validate(self, tol: float, normals: np.ndarray):
         """Global checks; ``normals`` are the outward unit face normals."""
@@ -314,9 +330,6 @@ class Polyhedron:
 
     def edge_vector(self, e: tuple[int, int]) -> np.ndarray:
         return self.vertices[e[1]] - self.vertices[e[0]]
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edge_index
 
 
 
@@ -465,8 +478,3 @@ def export_off(P: Polyhedron) -> str:
     for cyc in P.faces:
         out.append(str(len(cyc)) + " " + " ".join(str(i) for i in cyc))
     return "\n".join(out) + "\n"
-
-
-def edge_graph(P: Polyhedron) -> Mapping[int, tuple[int, ...]]:
-    """Undirected vertex adjacency of the mesh (connected, N edges)."""
-    return {v: P.adjacency[v] for v in range(P.n_vertices)}

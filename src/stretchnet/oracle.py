@@ -10,7 +10,7 @@ unstretched sliver admits overlapping unfoldings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -107,20 +107,10 @@ def _det_bareiss(M: list[list[int]]) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def matrix_tree_count(graph: Union[Mapping[int, Sequence[int]], tuple]) -> int:
-    """Number of spanning trees via the Laplacian cofactor (exact integers).
-
-    Accepts an adjacency mapping (as from mesh.edge_graph) or a pair
-    (n_vertices, edge list).
-    """
-    if isinstance(graph, Mapping):
-        n = len(graph)
-        edges = sorted(
-            {(min(u, v), max(u, v)) for u, vs in graph.items() for v in vs}
-        )
-    else:
-        n, edge_list = graph
-        edges = [(min(u, v), max(u, v)) for u, v in edge_list]
+def matrix_tree_count(graph: tuple) -> int:
+    """Number of spanning trees of the graph ``(n_vertices, edge list)``
+    via the Laplacian cofactor (exact integers)."""
+    n, edges = graph
     L = [[0] * n for _ in range(n)]
     for u, v in edges:
         L[u][u] += 1

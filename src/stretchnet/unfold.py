@@ -87,12 +87,22 @@ class BoundaryCurve:
         return (b[0] - a[0], b[1] - a[1])
 
 
-def _check_spanning(Q: Polyhedron, T: SpanningTree):
+def _check_spanning(Q: Polyhedron, T: SpanningTree) -> np.ndarray:
+    """Raise NotSpanningTree unless ``T`` is a spanning tree of ``Q``'s edges.
+
+    Returns the mask of corners that run from a vertex to its parent.
+    """
     if len(T.parent) != Q.n_vertices:
         raise NotSpanningTree("tree and mesh disagree on the vertex count")
-    for v, p in enumerate(T.parent):
-        if v != T.root and not Q.has_edge(v, p):
-            raise NotSpanningTree(f"tree edge ({v}, {p}) is not a mesh edge")
+    c = Q.corners
+    up = np.asarray(T.parent)[c.vertex] == c.vertex[c.next]
+    linked = np.zeros(Q.n_vertices, dtype=bool)
+    linked[c.vertex[up]] = True
+    linked[T.root] = True
+    unlinked = np.flatnonzero(~linked)
+    if unlinked.size:
+        v = int(unlinked[0])
+        raise NotSpanningTree(f"tree edge ({v}, {T.parent[v]}) is not a mesh edge")
     # parent links must all reach the root (no stray cycles); the walk
     # from v stops at the first vertex an earlier walk showed to reach it,
     # so each vertex is stepped over at most twice
@@ -110,68 +120,52 @@ def _check_spanning(Q: Polyhedron, T: SpanningTree):
         while mark[cur] != reaches:
             mark[cur] = reaches
             cur = parent[cur]
+    return up
 
 
 def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
     """Cut ``Q`` along the tree edges and trace the resulting disc boundary.
 
-    The boundary is walked keeping the surface on the left (so its planar
-    image is counterclockwise) and rotated to start at a copy of the
-    x-minimal vertex.
+    The boundary is walked over corner ids keeping the surface on the
+    left (so its planar image is counterclockwise) and rotated to start
+    at a copy of the x-minimal vertex.  A corner is cut when it or its
+    twin runs from a vertex to its parent.  The walk and the records run
+    on Python lists: census meshes are too small to repay numpy calls.
     """
-    _check_spanning(Q, T)
-    cut_set = T.edges
-    # fold edges of a spanning tree connect all faces; the walk below rejects other cut sets
+    up = _check_spanning(Q, T)
+    c = Q.corners
+    is_cut = up | up[c.twin]
+    tails, nxt, twin, cuts = c.vertex.tolist(), c.next.tolist(), c.twin.tolist(), is_cut.tolist()
+    at = list(zip(c.face.tolist(), (np.arange(len(tails)) - c.start[c.face]).tolist()))
     fold_adjacency = {
-        (u, v): (Q.half[(u, v)], Q.half[(v, u)]) for u, v in Q.edges if (u, v) not in cut_set
+        (tails[k], tails[nxt[k]]): (at[k], at[twin[k]])
+        for k in np.flatnonzero(~is_cut & (c.vertex < c.vertex[c.next])).tolist()
     }
 
-    def next_in_face(face: int, pos: int) -> tuple[int, int]:
-        return face, (pos + 1) % len(Q.faces[face])
-
-    def directed(face: int, pos: int) -> tuple[int, int]:
-        cyc = Q.faces[face]
-        return cyc[pos], cyc[(pos + 1) % len(cyc)]
-
-    def boundary_successor(face: int, pos: int) -> tuple[int, int]:
-        f, p = next_in_face(face, pos)
-        while True:
-            a, b = directed(f, p)
-            if (min(a, b), max(a, b)) in cut_set:
-                return f, p
-            f, p = next_in_face(*Q.half[(b, a)])
-
-    # collect all boundary half-edges and walk the single cycle
-    remaining = {Q.half[h] for u, v in cut_set for h in ((u, v), (v, u))}
-    walk = [min(remaining)]
-    remaining.discard(walk[0])
+    # the successor of a cut corner turns about its head to the next cut corner
+    start = cuts.index(True)
+    walk, k = [], start
     while True:
-        nxt = boundary_successor(*walk[-1])
-        if nxt == walk[0]:
+        walk.append(k)
+        k = nxt[k]
+        while not cuts[k]:
+            k = nxt[twin[k]]
+        if k == start:
             break
-        if nxt not in remaining:
-            raise NotSpanningTree("boundary walk left the cut-edge cycle")
-        remaining.discard(nxt)
-        walk.append(nxt)
-    if remaining:
-        raise NotSpanningTree("boundary is not a single cycle")
     if len(walk) != 2 * (Q.n_vertices - 1):
         raise NotSpanningTree(
             f"boundary has {len(walk)} edges, expected {2 * (Q.n_vertices - 1)}"
         )
 
     order = vertex_order(Q)
-    candidates = [i for i, (f, p) in enumerate(walk) if Q.faces[f][p] == order.x_min]
-    shift = min(candidates, key=lambda i: walk[i])
+    shift = walk.index(min(k for k in walk if tails[k] == order.x_min))
     walk = walk[shift:] + walk[:shift]
 
-    position = {he: i for i, he in enumerate(walk)}
+    position = dict(zip(walk, range(len(walk))))
     records = []
-    for f, p in walk:
-        a, b = directed(f, p)
-        e = (min(a, b), max(a, b))
-        dual = position[Q.half[(b, a)]]
-        records.append(BoundaryEdge(f, p, a, b, e, dual))
+    for k in walk:
+        a, b = tails[k], tails[nxt[k]]
+        records.append(BoundaryEdge(*at[k], a, b, (min(a, b), max(a, b)), position[twin[k]]))
 
     return CutSurface(
         faces=Q.faces,

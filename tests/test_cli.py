@@ -29,7 +29,6 @@ def child_env(**overrides):
     # a fresh interpreter must import the same stretchnet as this session,
     # whether it comes from an uninstalled src/ checkout or an installation
     env = dict(os.environ)
-    env.pop("UNFOLD_EPS", None)
     root = str(Path(stretchnet.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     env.update(overrides)
@@ -62,6 +61,20 @@ def test_unfold_parse_failure_exit_2(tmp_path, capsys):
     code = run_cli("unfold", "--input", bad, "--out", tmp_path / "x")
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_unfold_development_failure_is_a_verdict(tmp_path, capsys):
+    # at theta-max 1e-30 the stretch is so large that two placements of a
+    # fold edge disagree: a precondition failure on stdout, exit 1, no files
+    out = tmp_path / "net"
+    code = run_cli("unfold", "--input", DATA / "cube.off", "--out", out, "--format", "both", "--theta-max", "1e-30")
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    verdict = json.loads(captured.out)
+    assert verdict["status"] == "precondition_failure"
+    assert verdict["checks"] == {"layout_consistency": False}
+    assert verdict["witnesses"][0]["note"].startswith("fold edge (4, 6) placements disagree by")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unfold_missing_file_exit_2(tmp_path, capsys):
@@ -236,30 +249,3 @@ def test_console_entry_point(tetra_off, tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "net"
-
-
-def test_unfold_eps_env_override():
-    # UNFOLD_EPS must take effect at import time in a fresh interpreter
-    proc = subprocess.run(
-        [sys.executable, "-c", "from stretchnet.geometry import EPS; print(EPS)"],
-        capture_output=True,
-        text=True,
-        env=child_env(UNFOLD_EPS="1e-6"),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "1e-06"
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
-def test_unfold_eps_env_rejected(value):
-    # a tolerance that is not a positive finite number stops the import
-    # with a message naming the variable
-    proc = subprocess.run(
-        [sys.executable, "-c", "import stretchnet"],
-        capture_output=True,
-        text=True,
-        env=child_env(UNFOLD_EPS=value),
-    )
-    assert proc.returncode != 0
-    assert "ValueError: UNFOLD_EPS must be a positive finite number" in proc.stderr
-    assert repr(value) in proc.stderr

@@ -13,7 +13,6 @@ from stretchnet.errors import (
 )
 from stretchnet.mesh import (
     Polyhedron,
-    edge_graph,
     export_off,
     load_off,
 )
@@ -126,10 +125,34 @@ def test_check_alexandrov_platonic():
 
 
 def test_edge_graph_regularity(tetra, cube, icosa):
-    g = edge_graph(tetra)
-    assert all(len(g[v]) == 3 for v in g)  # K4
-    assert all(len(edge_graph(cube)[v]) == 3 for v in range(8))
-    assert all(len(edge_graph(icosa)[v]) == 5 for v in range(12))
+    assert tetra.adjacency == ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))  # K4
+    assert [len(a) for a in cube.adjacency] == [3] * 8
+    assert [len(a) for a in icosa.adjacency] == [5] * 12
+
+
+@pytest.mark.parametrize(
+    "name", [*sorted(shapes.platonic_solids()), "hull-8-0", "hull-8-1", "hull-300-2", "hull-1000-3"]
+)
+def test_corner_twins_are_the_opposite_half_edges(name):
+    if name.startswith("hull-"):
+        n, seed = map(int, name.split("-")[1:])
+        P = shapes.random_hull(n, seed)
+    else:
+        P = shapes.platonic_solids()[name]
+    c = P.corners
+    t = c.twin
+    np.testing.assert_array_equal(t[t], np.arange(len(t)))
+    assert (t != np.arange(len(t))).all()
+    np.testing.assert_array_equal(c.vertex[t], c.vertex[c.next])
+    np.testing.assert_array_equal(c.vertex[c.next[t]], c.vertex)
+    assert (c.face[t] != c.face).all()
+    # each edge is the corner from its smaller vertex, and its faces are
+    # those of that corner and its twin, the smaller corner id first
+    ec = np.flatnonzero(c.vertex < c.vertex[c.next])
+    ec = ec[np.lexsort((c.vertex[c.next[ec]], c.vertex[ec]))]
+    assert P.edges == tuple(zip(c.vertex[ec].tolist(), c.vertex[c.next[ec]].tolist()))
+    pairs = np.sort(np.stack([ec, t[ec]], axis=1), axis=1)
+    assert P.edge_faces == tuple(map(tuple, c.face[pairs].tolist()))
 
 
 def test_coplanar_faces_warn_but_load():

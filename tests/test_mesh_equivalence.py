@@ -83,6 +83,9 @@ INVALID = {
     "pushed-in cube corner": (np.where(np.arange(8)[:, None] == 0, -0.2, CUBE_V), CUBE_F),
     "bent cube face": (CUBE_V + np.where(np.arange(8)[:, None] == 0, [0, 0, -0.3], 0.0), CUBE_F),
     "open cube": (CUBE_V, CUBE_F[:-1]),
+    # the first failing corner is not the one with the smallest edge key
+    "cube without two faces": (CUBE_V, CUBE_F[1:2] + CUBE_F[3:]),
+    "cube with two faces repeated": (CUBE_V, CUBE_F + [CUBE_F[5], CUBE_F[0]]),
     "flipped cube face": (CUBE_V, [CUBE_F[0][::-1]] + CUBE_F[1:]),
     "octahedron tip inside": (np.where(np.arange(6)[:, None] == 0, -0.05, 1.0) * OCTA.vertices, OCTA.faces),
     "coplanar split cube": (
@@ -206,7 +209,7 @@ def test_transformed_equals_rebuild(name, M):
     if isinstance(rebuilt, Exception):
         return
     assert_same_mesh(Q, rebuilt)
-    assert Q.half == rebuilt.half and Q.edge_index == rebuilt.edge_index
+    np.testing.assert_array_equal(Q.corners.twin, rebuilt.corners.twin)
     for a, b in zip(Q.face_points3d, rebuilt.face_points3d):
         np.testing.assert_array_equal(a, b)
 
@@ -215,8 +218,9 @@ def test_transformed_shares_combinatorics_and_drops_vertex_caches():
     P = shapes.cube()
     before = (P.cone_angles, P.face_points3d, P.face_frames, P.edge_vectors)
     Q = P.transformed(np.array([[3.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    for attr in ("faces", "edges", "half", "edge_faces", "edge_index", "adjacency", "corners", "edge_ends"):
+    for attr in ("faces", "edges", "edge_faces", "adjacency", "corners", "edge_ends"):
         assert getattr(Q, attr) is getattr(P, attr)
+    assert Q.corners.twin is P.corners.twin
     assert all(a is b for a, b in zip((P.cone_angles, P.face_points3d, P.face_frames, P.edge_vectors), before))
     np.testing.assert_allclose(Q.edge_vectors, P.edge_vectors @ np.array([[3.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]).T, atol=1e-15)
     assert not Q.edge_vectors.flags.writeable

@@ -112,7 +112,7 @@ def test_enumerate_k4_is_cayley(tetra):
     oracle = brute_force_spanning_trees(4, list(tetra.edges))
     assert len(oracle) == 16
     enum_sets = {
-        frozenset(tetra.edge_index[e] for e in t.edges) for t in trees
+        frozenset(tetra.edges.index(e) for e in t.edges) for t in trees
     }
     assert enum_sets == oracle
 

@@ -1,10 +1,12 @@
-"""Layout JSON and the spanning check agree with their reference forms.
+"""Layout JSON, the spanning check and the cut agree with their reference forms.
 
-``unfold.layout_to_json`` formats records with %-formats and
+``unfold.layout_to_json`` formats records with %-formats,
 ``unfold._check_spanning`` walks each parent chain only until it meets a
-vertex known to reach the root.  ``tests/unfold_reference.py`` keeps the
-recursive serializer and the walk from every vertex; the documents must
-be byte for byte equal, and the same first failing vertex must be named.
+vertex known to reach the root, and ``unfold.cut`` walks corner ids.
+``tests/unfold_reference.py`` keeps the recursive serializer, the walk
+from every vertex and the dict-based cut; the documents must be byte for
+byte equal, the same first failing vertex must be named, and the cut
+surfaces must have the same boundary records, fold adjacency and root.
 """
 
 import math
@@ -16,10 +18,26 @@ import pytest
 from stretchnet import shapes, unfold
 from stretchnet.errors import NotSpanningTree
 from stretchnet.pipeline import stretch_and_unfold
-from stretchnet.tree import SpanningTree, build_increasing_tree
+from stretchnet.transform import (
+    apply_linear,
+    apply_stretch,
+    choose_rotation,
+    default_theta_max,
+    plan_stretch,
+    required_lambda,
+    rotate,
+)
+from stretchnet.tree import (
+    SpanningTree,
+    build_increasing_tree,
+    enumerate_increasing_trees,
+    enumerate_spanning_trees,
+    vertex_order,
+)
 
 import unfold_reference as reference
 from conftest import prism
+from test_acceptance import specimen_meshes
 
 META = {"lambda": 3.25, "theta_max": math.pi / 40, "seed": 0}
 
@@ -80,6 +98,53 @@ def test_numpy_and_int_corners_are_byte_identical(cube):
     ]
     odd = replace(L, face_points=mixed)
     assert unfold.layout_to_json(odd) == reference.layout_to_json(odd)
+
+
+# -- cut ---------------------------------------------------------------------
+
+
+def assert_same_cut(Q, T):
+    got, want = unfold.cut(Q, T), reference.cut(Q, T)
+    assert got.boundary == want.boundary
+    assert got.fold_adjacency == want.fold_adjacency
+    assert got.root_vertex == want.root_vertex
+    assert (got.faces, got.tree, got.mesh) == (want.faces, want.tree, want.mesh)
+    return got, want
+
+
+@pytest.mark.parametrize("name", ["cube", "octahedron"])
+def test_cut_matches_reference_on_every_spanning_tree(name):
+    # the trees and stretches of the overlap census: lambda 1 and the default bound
+    P = shapes.platonic_solids()[name]
+    R = choose_rotation(P)
+    trees = list(enumerate_spanning_trees(P))
+    assert len(trees) == 384
+    for lam in (1.0, required_lambda(rotate(P, R), default_theta_max(P))):
+        Q = apply_linear(P, R, lam)
+        root = vertex_order(Q).x_max
+        for T in trees:
+            assert_same_cut(Q, SpanningTree.from_edges(Q.n_vertices, T.edges, root))
+
+
+def test_cut_matches_reference_on_every_increasing_tree():
+    # every increasing tree of the meshes of acceptance criterion 1
+    count = 0
+    for _, P in specimen_meshes():
+        Q = apply_stretch(P, plan_stretch(P))
+        for T in enumerate_increasing_trees(Q):
+            assert_same_cut(Q, T)
+            count += 1
+    assert count > 40000
+
+
+@pytest.mark.parametrize("theta", [math.pi / 40, None], ids=["pi-40", "default"])
+@pytest.mark.parametrize("n", [300, 1000])
+def test_hull_cut_matches_reference(hull_layouts, n, theta):
+    S = hull_layouts[(n, theta)].surface
+    got, want = assert_same_cut(S.mesh, S.tree)
+    # repr also tells a numpy integer from a Python int
+    assert repr(got.boundary) == repr(want.boundary)
+    assert repr(sorted(got.fold_adjacency.items())) == repr(sorted(want.fold_adjacency.items()))
 
 
 # -- _check_spanning ------------------------------------------------------------

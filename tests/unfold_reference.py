@@ -1,20 +1,31 @@
-"""Reference serialization and spanning check, kept for the equivalence tests.
+"""Reference serialization, spanning check and cut, kept for the equivalence tests.
 
-``unfold.layout_to_json`` formats each record with one %-format, and
+``unfold.layout_to_json`` formats each record with one %-format,
 ``unfold._check_spanning`` walks each vertex only up to the first vertex
-already known to reach the root.  This module keeps the forms they
-replaced: the recursive ``_json_dumps`` applied to the whole layout, and
-a walk from every vertex to the root.  ``tests/test_unfold_equivalence.py``
-compares the two on every input.
+already known to reach the root, and ``unfold.cut`` walks corner ids
+through ``Corners.twin``.  This module keeps the forms they replaced:
+the recursive ``_json_dumps`` applied to the whole layout, a walk from
+every vertex to the root, and a cut that walks ``(face, pos)`` pairs
+through a dict of half-edges.  The half-edge dict and the edge list come
+from ``mesh_reference.derive``, not from the mesh under test.
+``tests/test_unfold_equivalence.py`` compares each pair on every input.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from stretchnet.errors import NotSpanningTree
+from stretchnet.tree import vertex_order
+from stretchnet.unfold import BoundaryEdge, CutSurface
+
+import mesh_reference
+
+# the equivalence tests cut many trees of one mesh
+derive = lru_cache(maxsize=4)(mesh_reference.derive)
 
 
 def _fmt(x: float) -> str:
@@ -71,8 +82,9 @@ def layout_to_json(L, meta: Optional[dict] = None) -> str:
 def check_spanning(Q, T):
     if len(T.parent) != Q.n_vertices:
         raise NotSpanningTree("tree and mesh disagree on the vertex count")
+    edges = set(derive(Q.n_vertices, Q.faces)[1])
     for v, p in enumerate(T.parent):
-        if v != T.root and not Q.has_edge(v, p):
+        if v != T.root and (min(v, p), max(v, p)) not in edges:
             raise NotSpanningTree(f"tree edge ({v}, {p}) is not a mesh edge")
     # parent links must all reach the root (no stray cycles)
     for v in range(Q.n_vertices):
@@ -82,3 +94,70 @@ def check_spanning(Q, T):
             hops += 1
             if hops > Q.n_vertices:
                 raise NotSpanningTree(f"vertex {v} never reaches the root")
+
+
+def cut(Q, T) -> CutSurface:
+    check_spanning(Q, T)
+    half, edges, _, _ = derive(Q.n_vertices, Q.faces)
+    cut_set = T.edges
+    # fold edges of a spanning tree connect all faces; the walk below rejects other cut sets
+    fold_adjacency = {
+        (u, v): (half[(u, v)], half[(v, u)]) for u, v in edges if (u, v) not in cut_set
+    }
+
+    def next_in_face(face: int, pos: int) -> tuple[int, int]:
+        return face, (pos + 1) % len(Q.faces[face])
+
+    def directed(face: int, pos: int) -> tuple[int, int]:
+        cyc = Q.faces[face]
+        return cyc[pos], cyc[(pos + 1) % len(cyc)]
+
+    def boundary_successor(face: int, pos: int) -> tuple[int, int]:
+        f, p = next_in_face(face, pos)
+        while True:
+            a, b = directed(f, p)
+            if (min(a, b), max(a, b)) in cut_set:
+                return f, p
+            f, p = next_in_face(*half[(b, a)])
+
+    # collect all boundary half-edges and walk the single cycle
+    remaining = {half[h] for u, v in cut_set for h in ((u, v), (v, u))}
+    walk = [min(remaining)]
+    remaining.discard(walk[0])
+    while True:
+        nxt = boundary_successor(*walk[-1])
+        if nxt == walk[0]:
+            break
+        if nxt not in remaining:
+            raise NotSpanningTree("boundary walk left the cut-edge cycle")
+        remaining.discard(nxt)
+        walk.append(nxt)
+    if remaining:
+        raise NotSpanningTree("boundary is not a single cycle")
+    if len(walk) != 2 * (Q.n_vertices - 1):
+        raise NotSpanningTree(
+            f"boundary has {len(walk)} edges, expected {2 * (Q.n_vertices - 1)}"
+        )
+
+    order = vertex_order(Q)
+    candidates = [i for i, (f, p) in enumerate(walk) if Q.faces[f][p] == order.x_min]
+    shift = min(candidates, key=lambda i: walk[i])
+    walk = walk[shift:] + walk[:shift]
+
+    position = {he: i for i, he in enumerate(walk)}
+    records = []
+    for f, p in walk:
+        a, b = directed(f, p)
+        e = (min(a, b), max(a, b))
+        dual = position[half[(b, a)]]
+        records.append(BoundaryEdge(f, p, a, b, e, dual))
+
+    return CutSurface(
+        faces=Q.faces,
+        face_points3d=Q.face_points3d,
+        fold_adjacency=fold_adjacency,
+        boundary=tuple(records),
+        tree=T,
+        root_vertex=order.x_max,
+        mesh=Q,
+    )
