@@ -28,7 +28,7 @@ from .unfold import (
     load_layout_json,
     rebuild_boundary,
 )
-from .verdict import Status
+from .verdict import Status, inconsistent_layout
 from .verify import certify_boundary
 from .pipeline import stretch_and_unfold
 
@@ -59,17 +59,6 @@ def _positive(flag: str, value: float):
     return value
 
 
-def _inconsistent_layout(exc: CompatibilityFailure) -> int:
-    """Print the verdict for a layout whose faces disagree; exit code 1."""
-    verdict = {
-        "status": Status.PRECONDITION_FAILURE.value,
-        "witnesses": [{"seg_a": None, "seg_b": None, "point": None, "note": str(exc)}],
-        "checks": {"layout_consistency": False},
-    }
-    print(_json_dumps(verdict))
-    return 1
-
-
 def cmd_unfold(args) -> int:
     try:
         P = _load_mesh(args.input)
@@ -77,22 +66,16 @@ def cmd_unfold(args) -> int:
     except (OSError, ValueError, UnfoldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        run = stretch_and_unfold(P, theta_max=theta, tie_rule=_TIE_RULES[args.tie_rule], seed=args.seed)
-    except CompatibilityFailure as exc:  # the development broke: no artefacts
-        return _inconsistent_layout(exc)
-    meta = {
-        "lambda": run.stretch.lam,
-        "theta_max": run.stretch.theta_max,
-        "seed": args.seed,
-    }
-    base = Path(args.out)
-    if base.suffix in (".svg", ".json"):
-        base = base.with_suffix("")
-    if args.format in ("svg", "both"):
-        export_svg(run.layout, base.with_suffix(".svg"), witnesses=run.verdict.witnesses)
-    if args.format in ("json", "both"):
-        export_json(run.layout, base.with_suffix(".json"), meta=meta)
+    run = stretch_and_unfold(P, theta_max=theta, tie_rule=_TIE_RULES[args.tie_rule], seed=args.seed)
+    if run.layout is not None:  # a development that broke writes no artefacts
+        meta = {"lambda": run.stretch.lam, "theta_max": run.stretch.theta_max, "seed": args.seed}
+        base = Path(args.out)
+        if base.suffix in (".svg", ".json"):
+            base = base.with_suffix("")
+        if args.format in ("svg", "both"):
+            export_svg(run.layout, base.with_suffix(".svg"), witnesses=run.verdict.witnesses)
+        if args.format in ("json", "both"):
+            export_json(run.layout, base.with_suffix(".json"), meta=meta)
     print(_json_dumps(run.verdict.to_json()))
     return 0 if run.verdict.status is Status.NET else 1
 
@@ -105,8 +88,9 @@ def cmd_verify(args) -> int:
             raise MalformedLayout("not a layout document")
         check_fold_consistency(doc)
         boundary = rebuild_boundary(doc)
-    except CompatibilityFailure as exc:
-        return _inconsistent_layout(exc)
+    except CompatibilityFailure as exc:  # a torn layout: the same verdict as a broken development
+        print(_json_dumps(inconsistent_layout(exc).to_json()))
+        return 1
     except (OSError, ValueError, MalformedLayout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,8 +31,8 @@ class VertexOrder:
 
 
 def vertex_order(P: Polyhedron) -> VertexOrder:
-    ranked = [(float(x), i) for i, x in enumerate(P.x)]
-    return VertexOrder(min(ranked)[1], max(ranked)[1])
+    x = P.x
+    return VertexOrder(int(x.argmin()), len(x) - 1 - int(x[::-1].argmax()))
 
 
 class TieRule(Enum):

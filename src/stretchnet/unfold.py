@@ -3,9 +3,11 @@
 Cutting along a spanning tree of the vertex-edge graph leaves the faces
 glued across the remaining (fold) edges, whose dual graph is a spanning
 tree of the face adjacency; the surface is therefore a topological disc.
-Each face is mapped isometrically into the plane by a breadth-first
-walk over the fold edges, and the boundary of the disc becomes a closed
-polyline with the two copies of each cut edge marked as duals.
+A cut surface is its mesh plus a per-corner cut mask: everything else
+(faces, fold edges, face frames) is read from the mesh.  Each face is
+mapped isometrically into the plane by a breadth-first walk over the
+uncut corners and their twins, and the boundary of the disc becomes a
+closed polyline with the two copies of each cut edge marked as duals.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import IO, Iterable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import CompatibilityFailure, MalformedLayout, NotSpanningTree
-from .mesh import Polyhedron, local_frames
+from .mesh import Polyhedron
 from .tree import SpanningTree, vertex_order
 
 #: Fold-edge placement disagreement above this aborts development; it is
@@ -42,15 +44,41 @@ class BoundaryEdge(NamedTuple):
 
 @dataclass
 class CutSurface:
-    """Faces of the mesh with each edge flagged cut (tree) or fold."""
+    """A mesh cut along a spanning tree.
 
-    faces: tuple                    # vertex cycles
-    face_points3d: tuple            # per face, (k, 3) coordinate array (the mesh's own, read-only)
-    fold_adjacency: dict            # fold edge -> ((face_a, pos_a), (face_b, pos_b))
+    The tree decides only which edges are cut: ``is_cut`` is the
+    read-only per-corner mask of ``mesh.corners`` that is true where the
+    corner or its twin runs from a vertex to its parent.  Every other
+    corner lies on a fold edge.  Faces, fold edges and face frames are
+    read from the mesh, so a surface holds no per-tree copy of them.
+    """
+
+    mesh: Polyhedron
+    tree: SpanningTree
+    is_cut: np.ndarray              # per corner of mesh.corners, read-only
     boundary: tuple                 # BoundaryEdge cycle, counterclockwise from a copy of the minimal vertex
-    tree: Optional[SpanningTree] = None
-    root_vertex: Optional[int] = None
-    mesh: Optional[Polyhedron] = None  # source of face_points3d and its cached frames
+    root_vertex: int                # the x-maximal vertex
+
+    @property
+    def faces(self) -> tuple:
+        return self.mesh.faces
+
+    @property
+    def folds(self) -> list:
+        """``(edge, (face_a, pos_a), (face_b, pos_b))`` for each uncut edge,
+        in ``mesh.edges`` order: the edge runs from its smaller vertex at
+        ``pos_a`` in ``face_a``, and back at ``pos_b`` in ``face_b``."""
+        c = self.mesh.corners
+        tail, head = c.vertex, c.vertex[c.next]
+        k = np.flatnonzero(~self.is_cut & (tail < head))
+        k = k[np.lexsort((head[k], tail[k]))]
+        t = c.twin[k]
+        fa, fb = c.face[k], c.face[t]
+        return list(zip(
+            zip(tail[k].tolist(), head[k].tolist()),
+            zip(fa.tolist(), (k - c.start[fa]).tolist()),
+            zip(fb.tolist(), (t - c.start[fb]).tolist()),
+        ))
 
 
 @dataclass
@@ -59,9 +87,7 @@ class PlanarLayout:
 
     surface: CutSurface
     face_points: list               # per face, list of (x, y) corner images
-    root_face: int
     max_fold_mismatch: float
-    y_prime: Optional[tuple] = None  # image of the minimal vertex at the boundary start
 
 
 @dataclass
@@ -135,12 +161,8 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
     up = _check_spanning(Q, T)
     c = Q.corners
     is_cut = up | up[c.twin]
+    is_cut.flags.writeable = False
     tails, nxt, twin, cuts = c.vertex.tolist(), c.next.tolist(), c.twin.tolist(), is_cut.tolist()
-    at = list(zip(c.face.tolist(), (np.arange(len(tails)) - c.start[c.face]).tolist()))
-    fold_adjacency = {
-        (tails[k], tails[nxt[k]]): (at[k], at[twin[k]])
-        for k in np.flatnonzero(~is_cut & (c.vertex < c.vertex[c.next])).tolist()
-    }
 
     # the successor of a cut corner turns about its head to the next cut corner
     start = cuts.index(True)
@@ -162,65 +184,49 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
     walk = walk[shift:] + walk[:shift]
 
     position = dict(zip(walk, range(len(walk))))
+    face, first = c.face.tolist(), c.start.tolist()
     records = []
     for k in walk:
-        a, b = tails[k], tails[nxt[k]]
-        records.append(BoundaryEdge(*at[k], a, b, (min(a, b), max(a, b)), position[twin[k]]))
+        a, b, f = tails[k], tails[nxt[k]], face[k]
+        records.append(BoundaryEdge(f, k - first[f], a, b, (min(a, b), max(a, b)), position[twin[k]]))
 
-    return CutSurface(
-        faces=Q.faces,
-        face_points3d=Q.face_points3d,
-        fold_adjacency=fold_adjacency,
-        boundary=tuple(records),
-        tree=T,
-        root_vertex=order.x_max,
-        mesh=Q,
-    )
-
-
-def _default_root_face(S: CutSurface) -> int:
-    return next((f for f, cyc in enumerate(S.faces) if S.root_vertex in cyc), 0)
+    return CutSurface(mesh=Q, tree=T, is_cut=is_cut, boundary=tuple(records), root_vertex=order.x_max)
 
 
 def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     """Map the cut surface isometrically face by face into the plane.
 
-    Faces are placed breadth-first over the fold edges starting from the
-    root face, each by the unique orientation-preserving rigid motion
-    matching the shared edge.  The global pose is fixed by sending the
-    root face's first edge, with 3D direction (dx, dy, dz), to the 2D
-    direction (dx, sqrt(dy^2 + dz^2)); on a stretched mesh this keeps
-    every developed edge nearly horizontal.
+    Faces are placed breadth-first over the fold tree starting from the
+    root face (by default the first face around ``S.root_vertex``).  A
+    face steps to its neighbours across its uncut corners, in order of
+    the neighbour face, and places each unseen one by the unique
+    orientation-preserving rigid motion matching the shared edge.  The
+    global pose is fixed by sending the root face's first edge, with 3D
+    direction (dx, dy, dz), to the 2D direction (dx, sqrt(dy^2 + dz^2));
+    on a stretched mesh this keeps every developed edge nearly horizontal.
 
     Raises CompatibilityFailure when a fold edge's two placements
     disagree beyond COMPAT_TOL, which signals accumulated numerical
     error or an invalid surface.
 
-    Face frames come from the mesh's cache when ``S.face_points3d`` is
-    the mesh's own tuple, and are recomputed otherwise.  Corners are
-    placed with float arithmetic: faces are too small to repay numpy calls.
+    Face frames come from the mesh's cache.  Corners are placed with
+    float arithmetic: faces are too small to repay numpy calls.
     """
-    n_faces = len(S.faces)
-    root = _default_root_face(S) if root_face is None else root_face
-    if S.mesh is not None and S.face_points3d is S.mesh.face_points3d:
-        frames = S.mesh.face_frames
-    else:
-        frames = local_frames(S.face_points3d)
-    local = [fr.tolist() for fr in frames]
-
-    neighbors: dict[int, list[tuple]] = {f: [] for f in range(n_faces)}
-    for e, ((fa, pa), (fb, pb)) in S.fold_adjacency.items():
-        neighbors[fa].append((fb, e))
-        neighbors[fb].append((fa, e))
-    for f in neighbors:
-        neighbors[f].sort()
+    Q = S.mesh
+    corners = Q.corners
+    n_faces = len(Q.faces)
+    face, first, twin = corners.face.tolist(), corners.start.tolist(), corners.twin.tolist()
+    cuts = S.is_cut.tolist()
+    # by default, the face of the first corner at the root vertex
+    root = face[corners.vertex.tolist().index(S.root_vertex)] if root_face is None else root_face
+    local = [fr.tolist() for fr in Q.face_frames]
 
     face_points: list = [None] * n_faces
 
     def place(f: int, c: float, s: float, tx: float, ty: float):
         face_points[f] = [(c * x - s * y + tx, s * x + c * y + ty) for x, y in local[f]]
 
-    d3 = S.face_points3d[root][1] - S.face_points3d[root][0]
+    d3 = Q.face_points3d[root][1] - Q.face_points3d[root][0]
     target = math.atan2(math.hypot(d3[1], d3[2]), d3[0])
     l0, l1 = local[root][0], local[root][1]
     phi = target - math.atan2(l1[1] - l0[1], l1[0] - l0[0])
@@ -232,14 +238,15 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     seen = {root}
     while queue:
         f = queue.popleft()
-        for g, e in neighbors[f]:
+        lo = first[f]
+        n = len(local[f])
+        # neighbours in face order: two faces of a convex polyhedron share at most one edge
+        for g, k in sorted([(face[twin[k]], k) for k in range(lo, lo + n) if not cuts[k]]):
             if g in seen:
                 continue
-            (fa, pa), (_, pb) = S.fold_adjacency[e]
-            if fa != f:
-                pa, pb = pb, pa
             # the fold runs a -> b from position pa in f, and b -> a from pb in g
-            ga, gb = face_points[f][pa], face_points[f][(pa + 1) % len(local[f])]
+            pa, pb = k - lo, twin[k] - first[g]
+            ga, gb = face_points[f][pa], face_points[f][(pa + 1) % n]
             lb, la = local[g][pb], local[g][(pb + 1) % len(local[g])]
             phi = math.atan2(gb[1] - ga[1], gb[0] - ga[0]) - math.atan2(
                 lb[1] - la[1], lb[0] - la[0]
@@ -250,26 +257,16 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
             mismatch = math.hypot(gb2[0] - gb[0], gb2[1] - gb[1])
             max_mismatch = max(max_mismatch, mismatch)
             if mismatch > COMPAT_TOL:
+                a, b = Q.faces[f][pa], Q.faces[g][pb]
                 raise CompatibilityFailure(
-                    f"fold edge {e} placements disagree by {mismatch:.3e}"
+                    f"fold edge {(min(a, b), max(a, b))} placements disagree by {mismatch:.3e}"
                 )
             seen.add(g)
             queue.append(g)
     if len(seen) != n_faces:
         raise NotSpanningTree("fold edges left some faces unreachable")
 
-    y_prime = None
-    if S.boundary:
-        b0 = S.boundary[0]
-        y_prime = face_points[b0.face][b0.pos]
-
-    return PlanarLayout(
-        surface=S,
-        face_points=face_points,
-        root_face=root,
-        max_fold_mismatch=max_mismatch,
-        y_prime=y_prime,
-    )
+    return PlanarLayout(surface=S, face_points=face_points, max_fold_mismatch=max_mismatch)
 
 
 def boundary_curve(L: PlanarLayout) -> BoundaryCurve:
@@ -352,9 +349,8 @@ def layout_to_json(L: PlanarLayout, meta: Optional[dict] = None) -> str:
         _BOUNDARY % (rec.face, rec.pos, rec.tail, rec.head, *rec.edge, rec.dual)
         for rec in S.boundary
     )
-    folds = ",".join(_FOLD % (*e, *fa, *fb) for e, (fa, fb) in sorted(S.fold_adjacency.items()))
-    tree = _json_dumps(S.tree.to_json() if S.tree is not None else None)
-    return _LAYOUT % (faces, tree, boundary, folds, _json_dumps(dict(meta or {})))
+    folds = ",".join(_FOLD % (*e, *fa, *fb) for e, fa, fb in S.folds)
+    return _LAYOUT % (faces, _json_dumps(S.tree.to_json()), boundary, folds, _json_dumps(dict(meta or {})))
 
 
 def export_json(L: PlanarLayout, path, meta: Optional[dict] = None) -> None:
@@ -458,10 +454,9 @@ def export_svg(L: PlanarLayout, path, witnesses: Sequence = ()) -> None:
     for pts in L.face_points:
         coords = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in pts)
         out.append(f'<polygon class="face" points="{coords}"/>')
-    for e, ((fa, pa), _) in sorted(S.fold_adjacency.items()):
-        cyc = S.faces[fa]
-        a = L.face_points[fa][pa]
-        b = L.face_points[fa][(pa + 1) % len(cyc)]
+    for _, (fa, pa), _ in S.folds:
+        pts = L.face_points[fa]
+        a, b = pts[pa], pts[(pa + 1) % len(pts)]
         out.append(
             f'<line class="fold" x1="{_fmt(a[0])}" y1="{_fmt(-a[1])}"'
             f' x2="{_fmt(b[0])}" y2="{_fmt(-b[1])}"/>'

@@ -58,3 +58,9 @@ class Verdict:
             "witnesses": [w.to_json() for w in self.witnesses],
             "checks": dict(self.checks),
         }
+
+
+def inconsistent_layout(exc: Exception) -> Verdict:
+    """The verdict on a layout whose faces or boundary do not fit together
+    (a ``CompatibilityFailure``), with its message as the one witness."""
+    return Verdict(Status.PRECONDITION_FAILURE, (Witness(note=str(exc)),), {"layout_consistency": False})

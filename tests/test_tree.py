@@ -1,8 +1,10 @@
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stretchnet import shapes
 from stretchnet.errors import NoRightwardEdge, NotSpanningTree
@@ -66,6 +68,19 @@ def test_vertex_order_ties_on_the_cube(cube):
     assert len(low) == len(high) == 4
     order = vertex_order(cube)
     assert (order.x_min, order.x_max) == (low.min(), high.max())
+
+
+TIED_X = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0])
+
+
+@given(st.lists(st.one_of(TIED_X, st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=40))
+def test_vertex_order_matches_the_key_form(xs):
+    # the smallest index wins for x_min and the largest for x_max, with
+    # -0.0 == 0.0, as when each vertex is ranked by the key (float(x), i)
+    ranked = [(float(x), i) for i, x in enumerate(xs)]
+    order = vertex_order(SimpleNamespace(x=np.array(xs, dtype=float)))
+    assert (order.x_min, order.x_max) == (min(ranked)[1], max(ranked)[1])
+    assert type(order.x_min) is int and type(order.x_max) is int
 
 
 def test_build_increasing_tree_parents_go_right(stretched_tetra):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +10,14 @@ from stretchnet.errors import NotSpanningTree
 from stretchnet.mesh import Polyhedron, local_coords, local_frames
 from stretchnet.pipeline import stretch_and_unfold
 from stretchnet.transform import apply_linear, apply_stretch, plan_stretch
-from stretchnet.tree import SpanningTree, build_increasing_tree, enumerate_spanning_trees
+from stretchnet.tree import (
+    SpanningTree,
+    build_increasing_tree,
+    enumerate_increasing_trees,
+    enumerate_spanning_trees,
+    vertex_order,
+)
 from stretchnet.unfold import (
-    BoundaryEdge,
-    CutSurface,
     cut,
     develop,
     export_json,
@@ -47,13 +53,34 @@ def test_cut_boundary_length_tetra(tetra):
     for T in enumerate_spanning_trees(tetra):
         S = cut(tetra, T)
         assert len(S.boundary) == 6  # 2 (V - 1)
-        assert len(S.fold_adjacency) == 3
-        assert S.fold_adjacency.keys().isdisjoint(T.edges)
+        assert len(S.folds) == 3
+        assert {e for e, _, _ in S.folds}.isdisjoint(T.edges)
 
 
 def test_cut_boundary_length_cube(cube):
     T = next(enumerate_spanning_trees(cube, cap=1))
     assert len(cut(cube, T).boundary) == 14
+
+
+def test_kept_cut_surfaces_hold_no_mesh_data(icosa):
+    # a surface holds the tree's cut mask, not per-tree copies of the
+    # mesh's faces or fold edges: keeping 1,000 of them must stay small
+    Q = apply_stretch(icosa, plan_stretch(icosa))
+    trees = list(itertools.islice(enumerate_increasing_trees(Q), 1000))
+    assert len(trees) == 1000
+    S = cut(Q, trees[0])  # fills the mesh's own caches first
+    assert S.faces is Q.faces
+    assert not S.is_cut.flags.writeable
+    with pytest.raises(ValueError):
+        S.is_cut[0] = not S.is_cut[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [cut(Q, T) for T in trees]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown / len(kept) < 6000, f"{grown / len(kept):.0f} bytes per kept surface"
 
 
 def test_cut_dual_pairing(tetra):
@@ -75,31 +102,6 @@ def test_cut_rejects_non_spanning_tree(tetra):
         cut(tetra, SpanningTree(0, (0, 0, 0, 0, 0)))
 
 
-def test_develop_single_triangle_fixture():
-    # one lone face with every edge cut: the development must reproduce
-    # the triangle itself (no mesh closure involved)
-    pts3d = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
-    boundary = (
-        BoundaryEdge(0, 0, 0, 1, (0, 1), 0),
-        BoundaryEdge(0, 1, 1, 2, (1, 2), 1),
-        BoundaryEdge(0, 2, 2, 0, (0, 2), 2),
-    )
-    S = CutSurface(
-        faces=((0, 1, 2),),
-        face_points3d=(pts3d,),
-        fold_adjacency={},
-        boundary=boundary,
-    )
-    L = develop(S)
-    placed = np.array(L.face_points[0])
-    # same edge lengths and area as the source triangle
-    for i in range(3):
-        d3 = np.linalg.norm(pts3d[(i + 1) % 3] - pts3d[i])
-        d2 = np.linalg.norm(placed[(i + 1) % 3] - placed[i])
-        assert d2 == pytest.approx(d3, rel=1e-12)
-    assert polygon_area(placed) == pytest.approx(face_area_3d(pts3d), rel=1e-12)
-
-
 def test_develop_path_tree_strip(tetra):
     # a path tree unfolds the tetrahedron into a 4-triangle strip
     path = None
@@ -115,9 +117,9 @@ def test_develop_path_tree_strip(tetra):
     L = develop(cut(tetra, path))
     assert len(L.face_points) == 4
     area_2d = sum(polygon_area(pts) for pts in L.face_points)
-    area_3d = sum(face_area_3d(p) for p in L.surface.face_points3d)
+    area_3d = sum(face_area_3d(p) for p in L.surface.mesh.face_points3d)
     assert area_2d == pytest.approx(area_3d, rel=1e-12)
-    assert area_2d == pytest.approx(4 * face_area_3d(L.surface.face_points3d[0]), rel=1e-12)
+    assert area_2d == pytest.approx(4 * face_area_3d(L.surface.mesh.face_points3d[0]), rel=1e-12)
 
 
 def test_develop_icosahedron_precision(icosa):
@@ -130,7 +132,7 @@ def test_develop_icosahedron_precision(icosa):
 
 def test_isometry_per_face(tetra_run):
     L = tetra_run.layout
-    for pts3d, pts2d in zip(L.surface.face_points3d, L.face_points):
+    for pts3d, pts2d in zip(L.surface.mesh.face_points3d, L.face_points):
         k = len(pts2d)
         for i in range(k):
             d3 = np.linalg.norm(pts3d[(i + 1) % k] - pts3d[i])
@@ -143,7 +145,8 @@ def test_isometry_per_face(tetra_run):
 def test_boundary_counterclockwise_and_closed(tetra_run):
     B = tetra_run.boundary
     assert polygon_area(B.points) > 0
-    assert B.points[0] == tetra_run.layout.y_prime
+    # the boundary starts at y', a copy of the x-minimal vertex
+    assert tetra_run.surface.boundary[0].tail == vertex_order(tetra_run.stretched).x_min
 
 
 def test_boundary_length_twice_tree_length(tetra_run):
@@ -226,22 +229,15 @@ def test_svg_marks_overlap_witnesses(tmp_path):
     assert 'class="witness"' in path.read_text()
 
 
-def test_develop_compatibility_failure_on_tampered_surface(tetra):
-    # shrink one face's 3D geometry: its fold edge can no longer match
-    # the neighbor's placement
-    from dataclasses import replace
-
+def test_develop_compatibility_failure_on_tampered_surface(cube):
+    # at theta_max = 1e-12 the stretch is so large that the two placements
+    # of a fold edge disagree, on a valid mesh cut along an increasing tree
     from stretchnet.errors import CompatibilityFailure
-    from stretchnet.tree import build_increasing_tree
-    from stretchnet.transform import apply_stretch, plan_stretch
 
-    Q = apply_stretch(tetra, plan_stretch(tetra))
+    Q = apply_stretch(cube, plan_stretch(cube, theta_max=1e-12))
     S = cut(Q, build_increasing_tree(Q))
-    points = list(S.face_points3d)
-    points[1] = points[1] * 0.9
-    bad = replace(S, face_points3d=tuple(points))
-    with pytest.raises(CompatibilityFailure):
-        develop(bad)
+    with pytest.raises(CompatibilityFailure, match=r"^fold edge \(2, 3\) placements disagree by 2\.296e-05$"):
+        develop(S)
 
 
 def triangular_prism():
@@ -327,15 +323,3 @@ def test_local_frames_mix_degenerate_and_regular_rows():
     faces += [rng.normal(size=(k, 3)) for k in (3, 5, 5, 6, 4)]
     faces = [faces[i] for i in rng.permutation(len(faces))]
     assert_frames_match_reference(local_frames(faces), faces)
-
-
-def test_develop_recomputes_frames_of_a_tampered_surface(tetra):
-    # doubling every 3D point doubles every frame, and so every placed
-    # corner, exactly; the mesh's cached frames would leave them unchanged
-    from dataclasses import replace
-
-    Q = apply_stretch(tetra, plan_stretch(tetra))
-    S = cut(Q, build_increasing_tree(Q))
-    layout = develop(S)
-    doubled = develop(replace(S, face_points3d=tuple(2.0 * p for p in S.face_points3d)))
-    assert doubled.face_points == [[(2.0 * x, 2.0 * y) for x, y in pts] for pts in layout.face_points]

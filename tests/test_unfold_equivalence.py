@@ -6,7 +6,7 @@ vertex known to reach the root, and ``unfold.cut`` walks corner ids.
 ``tests/unfold_reference.py`` keeps the recursive serializer, the walk
 from every vertex and the dict-based cut; the documents must be byte for
 byte equal, the same first failing vertex must be named, and the cut
-surfaces must have the same boundary records, fold adjacency and root.
+surfaces must have the same boundary records, folds and root.
 """
 
 import math
@@ -81,14 +81,6 @@ def test_crafted_meta_is_byte_identical(hull_layouts):
     assert unfold.layout_to_json(L, CRAFTED_META) == reference.layout_to_json(L, CRAFTED_META)
 
 
-def test_layout_without_tree_is_byte_identical(cube):
-    L = stretch_and_unfold(cube).layout
-    bare = replace(L, surface=replace(L.surface, tree=None))
-    text = unfold.layout_to_json(bare, META)
-    assert text == reference.layout_to_json(bare, META)
-    assert '"tree":null' in text
-
-
 def test_numpy_and_int_corners_are_byte_identical(cube):
     # %.17g formats any real number as format(float(x), ".17g") does
     L = stretch_and_unfold(cube).layout
@@ -104,12 +96,15 @@ def test_numpy_and_int_corners_are_byte_identical(cube):
 
 
 def assert_same_cut(Q, T):
-    got, want = unfold.cut(Q, T), reference.cut(Q, T)
-    assert got.boundary == want.boundary
-    assert got.fold_adjacency == want.fold_adjacency
-    assert got.root_vertex == want.root_vertex
-    assert (got.faces, got.tree, got.mesh) == (want.faces, want.tree, want.mesh)
-    return got, want
+    got = unfold.cut(Q, T)
+    boundary, folds, root_vertex = reference.cut(Q, T)
+    assert got.boundary == boundary
+    want = [(e, fa, fb) for e, (fa, fb) in sorted(folds.items())]
+    # repr also tells a numpy integer from a Python int
+    assert got.folds == want and repr(got.folds) == repr(want)
+    assert got.root_vertex == root_vertex
+    assert got.faces is Q.faces and got.tree is T and got.mesh is Q
+    return got, boundary
 
 
 @pytest.mark.parametrize("name", ["cube", "octahedron"])
@@ -141,10 +136,8 @@ def test_cut_matches_reference_on_every_increasing_tree():
 @pytest.mark.parametrize("n", [300, 1000])
 def test_hull_cut_matches_reference(hull_layouts, n, theta):
     S = hull_layouts[(n, theta)].surface
-    got, want = assert_same_cut(S.mesh, S.tree)
-    # repr also tells a numpy integer from a Python int
-    assert repr(got.boundary) == repr(want.boundary)
-    assert repr(sorted(got.fold_adjacency.items())) == repr(sorted(want.fold_adjacency.items()))
+    got, boundary = assert_same_cut(S.mesh, S.tree)
+    assert repr(got.boundary) == repr(boundary)
 
 
 # -- _check_spanning ------------------------------------------------------------

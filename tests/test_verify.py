@@ -323,34 +323,10 @@ def test_certify_unstretched_is_not_net(tetra):
 
 
 def test_two_face_strip_certifies_net():
-    # a strip of two skinny near-horizontal triangles sharing one fold
-    # edge: two convex polygons joined along an edge cannot overlap, and
-    # with this geometry the structural checks hold too
-    import numpy as np
-
-    from stretchnet.unfold import BoundaryEdge, CutSurface, develop
-
-    pts = {
-        0: (0.0, 0.0, 0.0),
-        1: (10.0, 0.1, 0.05),
-        2: (4.0, 0.3, 0.1),
-        3: (14.0, 0.35, 0.12),
-    }
-    face_a, face_b = (0, 1, 2), (1, 3, 2)
-    boundary = (
-        BoundaryEdge(0, 0, 0, 1, (0, 1), 0),
-        BoundaryEdge(1, 0, 1, 3, (1, 3), 1),
-        BoundaryEdge(1, 1, 3, 2, (2, 3), 2),
-        BoundaryEdge(0, 2, 2, 0, (0, 2), 3),
-    )
-    S = CutSurface(
-        faces=(face_a, face_b),
-        face_points3d=(
-            np.array([pts[i] for i in face_a]),
-            np.array([pts[i] for i in face_b]),
-        ),
-        fold_adjacency={(1, 2): ((0, 1), (1, 2))},
-        boundary=boundary,
-    )
-    verdict = certify_net(develop(S))
-    assert verdict.status is Status.NET
+    # a strip of two skinny near-horizontal triangles (0, 1, 2) and
+    # (1, 3, 2) in the plane, sharing the fold edge (1, 2): two convex
+    # polygons joined along an edge cannot overlap, and with this geometry
+    # the structural checks hold too.  The boundary runs 0, 1, 3, 2.
+    B = synthetic_boundary([(0.0, 0.0), (10.0, 0.1), (14.0, 0.35), (4.0, 0.3)])
+    verdict = certify_boundary(B)
+    assert verdict.status is Status.NET, verdict.to_json()

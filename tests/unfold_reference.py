@@ -6,8 +6,10 @@ already known to reach the root, and ``unfold.cut`` walks corner ids
 through ``Corners.twin``.  This module keeps the forms they replaced:
 the recursive ``_json_dumps`` applied to the whole layout, a walk from
 every vertex to the root, and a cut that walks ``(face, pos)`` pairs
-through a dict of half-edges.  The half-edge dict and the edge list come
-from ``mesh_reference.derive``, not from the mesh under test.
+through a dict of half-edges and returns its fold edges as a dict.  The
+half-edge dict and the edge list come from ``mesh_reference.derive``,
+not from the mesh under test, and the reference serializer writes the
+folds of that dict-based cut, not ``CutSurface.folds``.
 ``tests/test_unfold_equivalence.py`` compares each pair on every input.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from stretchnet.errors import NotSpanningTree
 from stretchnet.tree import vertex_order
-from stretchnet.unfold import BoundaryEdge, CutSurface
+from stretchnet.unfold import BoundaryEdge
 
 import mesh_reference
 
@@ -58,7 +60,7 @@ def layout_to_json(L, meta: Optional[dict] = None) -> str:
     S = L.surface
     data = {
         "faces": [[[float(x), float(y)] for x, y in pts] for pts in L.face_points],
-        "tree": S.tree.to_json() if S.tree is not None else None,
+        "tree": S.tree.to_json(),
         "boundary": [
             {
                 "face": rec.face,
@@ -72,7 +74,7 @@ def layout_to_json(L, meta: Optional[dict] = None) -> str:
         ],
         "folds": [
             {"edge": list(e), "a": list(fa), "b": list(fb)}
-            for e, (fa, fb) in sorted(S.fold_adjacency.items())
+            for e, (fa, fb) in sorted(cut(S.mesh, S.tree)[1].items())
         ],
         "meta": dict(meta or {}),
     }
@@ -96,7 +98,8 @@ def check_spanning(Q, T):
                 raise NotSpanningTree(f"vertex {v} never reaches the root")
 
 
-def cut(Q, T) -> CutSurface:
+def cut(Q, T) -> tuple:
+    """``(boundary records, fold edge -> ((face_a, pos_a), (face_b, pos_b)), root vertex)``."""
     check_spanning(Q, T)
     half, edges, _, _ = derive(Q.n_vertices, Q.faces)
     cut_set = T.edges
@@ -152,12 +155,4 @@ def cut(Q, T) -> CutSurface:
         dual = position[half[(b, a)]]
         records.append(BoundaryEdge(f, p, a, b, e, dual))
 
-    return CutSurface(
-        faces=Q.faces,
-        face_points3d=Q.face_points3d,
-        fold_adjacency=fold_adjacency,
-        boundary=tuple(records),
-        tree=T,
-        root_vertex=order.x_max,
-        mesh=Q,
-    )
+    return tuple(records), fold_adjacency, order.x_max
