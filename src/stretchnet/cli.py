@@ -32,13 +32,6 @@ from .verdict import Status, inconsistent_layout
 from .verify import certify_boundary
 from .pipeline import stretch_and_unfold
 
-_TIE_RULES = {
-    "steepest": TieRule.STEEPEST_ASCENT,
-    "first": TieRule.FIRST_BY_INDEX,
-    "random": TieRule.RANDOM,
-}
-
-
 def _load_mesh(path: str):
     with open(path) as fh:
         return load_off(fh)
@@ -66,7 +59,7 @@ def cmd_unfold(args) -> int:
     except (OSError, ValueError, UnfoldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    run = stretch_and_unfold(P, theta_max=theta, tie_rule=_TIE_RULES[args.tie_rule], seed=args.seed)
+    run = stretch_and_unfold(P, theta_max=theta, tie_rule=TieRule(args.tie_rule), seed=args.seed)
     if run.layout is not None:  # a development that broke writes no artefacts
         meta = {"lambda": run.stretch.lam, "theta_max": run.stretch.theta_max, "seed": args.seed}
         base = Path(args.out)
@@ -163,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--out", required=True, help="output path (extension set by --format)")
     p.add_argument("--format", choices=("svg", "json", "both"), default="both")
-    p.add_argument("--tie-rule", choices=sorted(_TIE_RULES), default="steepest")
+    p.add_argument("--tie-rule", choices=sorted(r.value for r in TieRule), default="steepest")
     p.set_defaults(func=cmd_unfold)
 
     p = sub.add_parser("verify", help="re-certify a stored layout JSON")

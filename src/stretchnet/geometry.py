@@ -5,7 +5,10 @@ over segment pairs or sample points; the certificate, the arm oracle and
 the scalar functions here all call the same kernels.  A single absolute
 tolerance ``EPS`` governs collinearity, point-on-segment and
 point-on-curve decisions.  Meshes are rescaled to unit bounding-box
-diameter on load, so one absolute epsilon is adequate everywhere.
+diameter on load, but the stretch scales x by its factor, so one
+absolute epsilon holds only while one ulp of the largest coordinate
+stays below it: at the default bound that fails from about 3,000 hull
+points (README, "Limits").
 
 All functions here are pure and safe to call concurrently.
 """
@@ -129,17 +132,13 @@ def segment_pair_contacts(
     return dist, proper, contact
 
 
-def require_segment_lengths(
-    ends: Sequence, A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray
-) -> None:
-    """Raise DegenerateSegment at the first pair ``(I[k], J[k])`` holding a
-    segment no longer than EPS, naming its first such segment by its
-    endpoints ``ends[s]`` as the caller gave them."""
-    short = np.hypot(*(B - A).T) <= EPS
-    bad = np.flatnonzero(short[I] | short[J])
-    if len(bad):
-        k = bad[0]
-        a, b = ends[I[k] if short[I[k]] else J[k]]
+def require_segment_lengths(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> None:
+    """Raise DegenerateSegment at the first segment ``A[s]->B[s]`` of the
+    index sequence ``S`` that is no longer than EPS, naming it by its
+    endpoints as float tuples."""
+    short = S[np.hypot(*(B[S] - A[S]).T) <= EPS]
+    if len(short):
+        a, b = tuple(A[short[0]].tolist()), tuple(B[short[0]].tolist())
         raise DegenerateSegment(f"segment {a}-{b} has near-zero length")
 
 
@@ -208,7 +207,7 @@ def segments_intersect(
     (e.g. a collinear doubling-back).
     """
     A, B = np.array([p1, q1], dtype=float), np.array([p2, q2], dtype=float)
-    require_segment_lengths(((p1, p2), (q1, q2)), A, B, *_ONE_PAIR)
+    require_segment_lengths(A, B, np.arange(2))
     exclude = policy is EndpointPolicy.EXCLUDE_SHARED_ENDPOINT
     return bool(segment_pair_contacts(A, B, *_ONE_PAIR, exclude)[2][0])
 

@@ -41,6 +41,11 @@ class TieRule(Enum):
     RANDOM = "random"
 
 
+def _require_root(root: int, n_vertices: int) -> None:
+    if not 0 <= root < n_vertices:
+        raise NotSpanningTree(f"root {root} is not one of the {n_vertices} vertices")
+
+
 @dataclass(frozen=True)
 class SpanningTree:
     """Rooted spanning tree; ``parent[v]`` indexes v's parent, root maps to itself."""
@@ -49,6 +54,7 @@ class SpanningTree:
     parent: tuple
 
     def __post_init__(self):
+        _require_root(self.root, len(self.parent))
         if self.parent[self.root] != self.root:
             raise NotSpanningTree("root must be its own parent")
 
@@ -65,6 +71,7 @@ class SpanningTree:
     @classmethod
     def from_edges(cls, n_vertices: int, edges: Iterable, root: int) -> "SpanningTree":
         """Root an undirected edge set; raises NotSpanningTree if it is not one."""
+        _require_root(root, n_vertices)
         es = [(min(a, b), max(a, b)) for a, b in edges]
         if len(set(es)) != len(es) or len(es) != n_vertices - 1:
             raise NotSpanningTree(f"expected {n_vertices - 1} distinct edges, got {len(es)}")

@@ -114,9 +114,16 @@ class BoundaryCurve:
 
 
 def _check_spanning(Q: Polyhedron, T: SpanningTree) -> np.ndarray:
-    """Raise NotSpanningTree unless ``T`` is a spanning tree of ``Q``'s edges.
+    """Raise NotSpanningTree unless every tree edge is a mesh edge of ``Q``.
 
     Returns the mask of corners that run from a vertex to its parent.
+    Whether the links form one tree is left to ``cut``'s boundary walk:
+    it follows one orbit of the face-tracing permutation of the cut
+    graph, so it never leaves one component, and it reaches 2(V - 1)
+    steps only if it holds all 2 |cut edges| <= 2(V - 1) cut corners.
+    Then both sides of every cut edge lie on one facial walk, so every
+    cut edge is a bridge, and V - 1 bridges in one component form a
+    spanning tree, along which every parent chain reaches the root.
     """
     if len(T.parent) != Q.n_vertices:
         raise NotSpanningTree("tree and mesh disagree on the vertex count")
@@ -129,23 +136,6 @@ def _check_spanning(Q: Polyhedron, T: SpanningTree) -> np.ndarray:
     if unlinked.size:
         v = int(unlinked[0])
         raise NotSpanningTree(f"tree edge ({v}, {T.parent[v]}) is not a mesh edge")
-    # parent links must all reach the root (no stray cycles); the walk
-    # from v stops at the first vertex an earlier walk showed to reach it,
-    # so each vertex is stepped over at most twice
-    parent, reaches = T.parent, Q.n_vertices
-    mark = [-1] * Q.n_vertices  # the last walk through a vertex, or ``reaches``
-    mark[T.root] = reaches
-    for v in range(Q.n_vertices):
-        cur = v
-        while mark[cur] != reaches:
-            if mark[cur] == v:
-                raise NotSpanningTree(f"vertex {v} never reaches the root")
-            mark[cur] = v
-            cur = parent[cur]
-        cur = v
-        while mark[cur] != reaches:
-            mark[cur] = reaches
-            cur = parent[cur]
     return up
 
 
@@ -157,6 +147,11 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
     at a copy of the x-minimal vertex.  A corner is cut when it or its
     twin runs from a vertex to its parent.  The walk and the records run
     on Python lists: census meshes are too small to repay numpy calls.
+
+    Raises NotSpanningTree when a tree edge is not a mesh edge, or when
+    the boundary does not have 2(V - 1) edges: that length test is the
+    check that the parent links form one spanning tree (see
+    ``_check_spanning``).
     """
     up = _check_spanning(Q, T)
     c = Q.corners

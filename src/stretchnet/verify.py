@@ -170,36 +170,28 @@ def polyline_self_intersections(points: Sequence, closed: bool) -> list:
     self-contact would be located while drawing the boundary.
 
     Only pairs whose bounding boxes come within the contact tolerance are
-    measured.  The boxes are grown by EPS plus a rounding allowance
-    relative to the coordinate magnitude, so every pair whose computed
-    endpoint-to-segment distances can reach EPS is among them.  Grown
-    boxes can overlap where the segments' own boxes are disjoint; the
-    contact kernel's bounding-box guard keeps such a pair from being read
-    as crossing.
+    measured, each once.  The boxes are grown by EPS plus a rounding
+    allowance relative to the largest coordinate magnitude, so every pair
+    whose computed endpoint-to-segment distances can reach EPS is among
+    them; consecutive segments share an endpoint, so every consecutive
+    pair is, and the contact kernel forgives that endpoint.  Grown boxes
+    can overlap where the segments' own boxes are disjoint; the contact
+    kernel's bounding-box guard keeps such a pair from being read as
+    crossing.  With two or more segments, the lowest-numbered segment no
+    longer than EPS raises DegenerateSegment.
     """
-    pts = [(float(p[0]), float(p[1])) for p in points]
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     m = len(pts) if closed else len(pts) - 1
-    ends = [(pts[i], pts[(i + 1) % len(pts)]) for i in range(m)]
-    A = np.array([a for a, _ in ends])
-    B = np.array([b for _, b in ends])
-    scale = float(np.abs(np.array(pts)).max())
+    A, B = pts[:m], np.roll(pts, -1, axis=0)[:m]
+    if m > 1:  # a walk over all pairs meets the lowest-numbered short segment first
+        require_segment_lengths(A, B, np.arange(m))
+    scale = float(np.abs(pts).max())
     I, J = _candidate_pairs(A, B, EPS + 64.0 * np.finfo(float).eps * scale)
     consecutive = (I + 1 == J) | (closed & (I == 0) & (J == m - 1))
-    I, J = I[~consecutive], J[~consecutive]
-
-    # consecutive pairs, which cover every segment, so the lowest-numbered
-    # degenerate segment raises, as in a walk over all pairs
-    Ia, Ja = np.arange(m - 1), np.arange(1, m)
-    if closed and m > 2:
-        Ia, Ja = np.append(Ia, 0), np.append(Ja, m - 1)
-    require_segment_lengths(ends, A, B, Ia, Ja)
-
-    exclude = np.repeat([False, True], [len(I), len(Ia)])
-    I, J = np.concatenate([I, Ia]), np.concatenate([J, Ja])
-    _, proper, hit = segment_pair_contacts(A, B, I, J, exclude)
+    _, proper, hit = segment_pair_contacts(A, B, I, J, consecutive)
     raw = []
     for i, j, crossing in zip(I[hit].tolist(), J[hit].tolist(), proper[hit].tolist()):
-        point, t = crossing_point(*ends[i], *ends[j], crossing)
+        point, t = crossing_point(A[i].tolist(), B[i].tolist(), A[j].tolist(), B[j].tolist(), crossing)
         raw.append((j, t, i, point))
     raw.sort()
     return [Witness(seg_a=i, seg_b=j, point=point) for j, t, i, point in raw]
@@ -315,7 +307,7 @@ def check_arm_conclusion(u: Sequence, v: Sequence) -> bool:
     I, J = np.repeat(np.arange(m), m), m + np.tile(np.arange(m), m)
     hits = np.flatnonzero(segment_pair_contacts(A, B, I, J, (I == 0) & (J == m))[2])
     first = hits[0] + 1 if len(hits) else len(I)
-    require_segment_lengths([*zip(u[:m], u[1:]), *zip(v[:m], v[1:])], A, B, I[:first], J[:first])
+    require_segment_lengths(A, B, np.column_stack((I[:first], J[:first])).ravel())
     return not len(hits)
 
 

@@ -9,7 +9,10 @@ import pytest
 import stretchnet
 from stretchnet import shapes
 from stretchnet.cli import main
-from stretchnet.mesh import export_off
+from stretchnet.mesh import export_off, load_off
+from stretchnet.pipeline import stretch_and_unfold
+from stretchnet.tree import TieRule
+from stretchnet.unfold import _json_dumps, layout_to_json
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -215,6 +218,20 @@ def test_bad_count_or_lambda_exit_2(argv, tetra_off, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rule", ["first", "random"])
+def test_tie_rule_reaches_the_pipeline(rule, tmp_path, capsys):
+    off = DATA / "icosahedron.off"
+    code = run_cli("unfold", "--input", off, "--out", tmp_path / rule, "--format", "json", "--tie-rule", rule)
+    run = stretch_and_unfold(load_off(off.read_text()), tie_rule=TieRule(rule))
+    meta = {"lambda": run.stretch.lam, "theta_max": run.stretch.theta_max, "seed": 0}
+    assert code == 0 and run.verdict.status.value == "net"
+    assert capsys.readouterr().out == _json_dumps(run.verdict.to_json()) + "\n"
+    assert (tmp_path / f"{rule}.json").read_text() == layout_to_json(run.layout, meta)
+    # each rule picks another tree of the icosahedron than the default
+    steepest = stretch_and_unfold(load_off(off.read_text()))
+    assert run.layout.surface.tree != steepest.layout.surface.tree
 
 
 def test_outputs_deterministic(tetra_off, tmp_path, capsys):

@@ -212,3 +212,21 @@ def test_from_edges_rejects_non_trees(tetra):
     with pytest.raises(NotSpanningTree):
         # a triangle plus isolated vertex
         SpanningTree.from_edges(4, [(0, 1), (1, 2), (0, 2)], root=0)
+
+
+@pytest.mark.parametrize(
+    "root, parent",
+    [(5, (0, 0, 0, 0)), (4, (0, 0, 0, 0)), (0, ()), (-1, (3, 3, 3, -1))],
+    ids=["past-the-end", "one-past", "no-vertices", "negative"],
+)
+def test_spanning_tree_rejects_a_root_outside_the_vertices(root, parent):
+    # a negative root would otherwise index from the end and pass as vertex 3
+    with pytest.raises(NotSpanningTree, match=rf"^root {root} is not one of the {len(parent)} vertices$"):
+        SpanningTree(root, parent)
+
+
+@pytest.mark.parametrize("root", [4, -1])
+def test_from_edges_rejects_a_root_outside_the_vertices(root):
+    edges = [(0, 1), (0, 2), (0, 3)]
+    with pytest.raises(NotSpanningTree, match=rf"^root {root} is not one of the 4 vertices$"):
+        SpanningTree.from_edges(4, edges, root)

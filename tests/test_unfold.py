@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_cut_dual_pairing(tetra):
 
 def test_cut_rejects_non_spanning_tree(tetra):
     bad = SpanningTree(root=0, parent=(0, 0, 0, 5))
-    with pytest.raises((NotSpanningTree, IndexError)):
+    with pytest.raises(NotSpanningTree, match=r"^tree edge \(3, 5\) is not a mesh edge$"):
         cut(tetra, bad)
     # a valid tree of the wrong mesh
     with pytest.raises(NotSpanningTree):
@@ -238,6 +239,21 @@ def test_develop_compatibility_failure_on_tampered_surface(cube):
     S = cut(Q, build_increasing_tree(Q))
     with pytest.raises(CompatibilityFailure, match=r"^fold edge \(2, 3\) placements disagree by 2\.296e-05$"):
         develop(S)
+
+
+def test_develop_rejects_a_face_cut_off_from_the_rest(cube):
+    # every surface cut along a spanning tree passes the reachability
+    # guard; a hand-built mask that also cuts all four edges of a face
+    # away from the root face leaves that face unreachable
+    Q = apply_stretch(cube, plan_stretch(cube))
+    S = cut(Q, build_increasing_tree(Q))
+    c = Q.corners
+    f = next(f for f, face in enumerate(Q.faces) if S.root_vertex not in face)
+    is_cut = S.is_cut.copy()
+    is_cut[c.face == f] = True
+    is_cut[c.twin[c.face == f]] = True
+    with pytest.raises(NotSpanningTree, match="^fold edges left some faces unreachable$"):
+        develop(replace(S, is_cut=is_cut))
 
 
 def triangular_prism():

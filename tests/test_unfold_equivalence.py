@@ -1,15 +1,18 @@
 """Layout JSON, the spanning check and the cut agree with their reference forms.
 
-``unfold.layout_to_json`` formats records with %-formats,
-``unfold._check_spanning`` walks each parent chain only until it meets a
-vertex known to reach the root, and ``unfold.cut`` walks corner ids.
-``tests/unfold_reference.py`` keeps the recursive serializer, the walk
-from every vertex and the dict-based cut; the documents must be byte for
-byte equal, the same first failing vertex must be named, and the cut
-surfaces must have the same boundary records, folds and root.
+``unfold.layout_to_json`` formats records with %-formats, and
+``unfold.cut`` walks corner ids and takes its boundary length as the
+proof that the parent links form one spanning tree.
+``tests/unfold_reference.py`` keeps the recursive serializer, the
+parent-chain walk from every vertex and the dict-based cut; the
+documents must be byte for byte equal, the cut must reject exactly the
+parent maps the reference rejects, and the cut surfaces must have the
+same boundary records, folds and root.
 """
 
+import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -140,7 +143,7 @@ def test_hull_cut_matches_reference(hull_layouts, n, theta):
     assert repr(got.boundary) == repr(boundary)
 
 
-# -- _check_spanning ------------------------------------------------------------
+# -- the spanning check ------------------------------------------------------
 
 
 def outcome(check, Q, T):
@@ -151,9 +154,23 @@ def outcome(check, Q, T):
     return None
 
 
-def test_parent_cycle_away_from_root_names_first_vertex(cube):
-    # vertex 0 hangs off a 4-cycle that avoids the root, so it is the first
-    # vertex that never reaches the root although it is not on the cycle
+def assert_same_rejection(Q, T):
+    """``cut`` raises NotSpanningTree exactly when the reference check
+    does, with the same message, except that a parent chain that never
+    reaches the root shows as a short boundary; returns the reference's
+    message, or None."""
+    want = outcome(reference.check_spanning, Q, T)
+    got = outcome(unfold.cut, Q, T)
+    if want is not None and want.endswith("never reaches the root"):
+        assert re.fullmatch(rf"boundary has \d+ edges, expected {2 * (Q.n_vertices - 1)}", got)
+    else:
+        assert got == want
+    return want
+
+
+def test_parent_cycle_away_from_root_is_rejected(cube):
+    # vertex 0 hangs off a 4-cycle that avoids the root: every link is a
+    # mesh edge, and the boundary walk stays on one side of the cycle
     root = cube.adjacency[0][0]
     parent, queue = {root: root}, [root]
     for v in queue:  # breadth-first tree from the root
@@ -166,10 +183,9 @@ def test_parent_cycle_away_from_root_names_first_vertex(cube):
     parent[a], parent[b], parent[c], parent[d] = b, c, d, a
     parent[0] = next(v for v in cube.adjacency[0] if v in top)
     bad = SpanningTree(root, tuple(parent[v] for v in range(cube.n_vertices)))
-    expected = outcome(reference.check_spanning, cube, bad)
-    assert expected == "vertex 0 never reaches the root"
-    assert outcome(unfold._check_spanning, cube, bad) == expected
-    with pytest.raises(NotSpanningTree, match="vertex 0 never reaches the root"):
+    assert outcome(reference.check_spanning, cube, bad) == "vertex 0 never reaches the root"
+    assert outcome(unfold._check_spanning, cube, bad) is None
+    with pytest.raises(NotSpanningTree, match=r"^boundary has 8 edges, expected 14$"):
         unfold.cut(cube, bad)
 
 
@@ -189,11 +205,22 @@ def test_random_parent_maps_match_reference():
             if v != root:
                 parent[v] = int(rng.choice(P.adjacency[v]))
         parent[root] = root
-        T = SpanningTree(root, tuple(parent))
-        expected = outcome(reference.check_spanning, P, T)
-        assert outcome(unfold._check_spanning, P, T) == expected
-        messages.add(expected)
+        messages.add(assert_same_rejection(P, SpanningTree(root, tuple(parent))))
     assert None in messages and len(messages) > 3
+
+
+@pytest.mark.parametrize("name, trees", [("tetrahedron", 16), ("octahedron", 384)])
+def test_every_parent_map_matches_reference(name, trees):
+    # every root, and every vertex (itself included) as each other
+    # vertex's parent: 256 maps of the tetrahedron, 46,656 of the octahedron
+    P = shapes.platonic_solids()[name]
+    V = P.n_vertices
+    accepted = 0
+    for root in range(V):
+        for choice in itertools.product(range(V), repeat=V - 1):
+            parent = (*choice[:root], root, *choice[root:])
+            accepted += assert_same_rejection(P, SpanningTree(root, parent)) is None
+    assert accepted == trees * V
 
 
 class CountingParents(tuple):

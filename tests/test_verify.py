@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from stretchnet.errors import LengthMismatch, VerticalSegment
-from stretchnet.geometry import segment_pair_contacts
+from stretchnet.geometry import EPS, segment_pair_contacts
 from stretchnet.pipeline import stretch_and_unfold
 from stretchnet.tree import enumerate_spanning_trees
 from stretchnet.unfold import BoundaryCurve, boundary_curve, cut, develop
 from stretchnet.verdict import Status
 from stretchnet.verify import (
+    _candidate_pairs,
     certify_boundary,
     certify_net,
     check_arm_conclusion,
@@ -121,6 +123,32 @@ def test_polyline_disjoint_collinear_segments():
     dist, proper, _ = segment_pair_contacts(np.array(pts[0::2]), np.array(pts[1::2]), [0], [1])
     assert dist[0] == pytest.approx(2.3617, abs=1e-4)
     assert not proper[0]
+
+
+@st.composite
+def closed_polyline(draw):
+    """Corners with coordinates up to 1e8, some a near-zero step (or no
+    step) from their predecessor."""
+    coordinate = st.floats(-1e8, 1e8, allow_nan=False)
+    pts = draw(st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=12))
+    for k in draw(st.lists(st.integers(1, len(pts) - 1), max_size=3)):
+        step = draw(st.sampled_from([0.0, 1e-300, 1e-12, EPS]))
+        pts[k] = (pts[k - 1][0] + step, pts[k - 1][1] - step)
+    return pts
+
+
+@given(closed_polyline())
+@example([(1e8, -1e8), (1e8 + 1e-8, -1e8), (-1e8, 1e8)])
+@example([(99999999.99999999, 3.0), (99999999.99999999, 3.0), (5e-324, -1e8)])
+def test_candidate_pairs_hold_every_consecutive_pair_once(points):
+    # polyline_self_intersections measures consecutive pairs only because
+    # the broad phase returns them: each pair's boxes share an endpoint
+    pts = np.array(points)
+    m = len(pts)
+    I, J = _candidate_pairs(pts, np.roll(pts, -1, axis=0), EPS + 64.0 * np.finfo(float).eps * np.abs(pts).max())
+    pairs = list(zip(I.tolist(), J.tolist()))
+    assert len(set(pairs)) == len(pairs) and all(i < j for i, j in pairs)
+    assert {(i, i + 1) for i in range(m - 1)} | {(0, m - 1)} <= set(pairs)
 
 
 def test_polyline_disjoint_segments_with_overlapping_grown_boxes():
