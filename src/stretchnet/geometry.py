@@ -2,7 +2,9 @@
 
 Each contact and winding predicate is written once, as an array kernel
 over segment pairs or sample points; the certificate, the arm oracle and
-the scalar functions here all call the same kernels.  A single absolute
+the scalar functions here all call the same kernels, which hold x and y
+in separate arrays (on tiny arrays a numpy call costs far more than its
+arithmetic, so each operation is one call for all rows).  A single absolute
 tolerance ``EPS`` governs collinearity, point-on-segment and
 point-on-curve decisions.  Meshes are rescaled to unit bounding-box
 diameter on load, but the stretch scales x by its factor, so one
@@ -75,28 +77,26 @@ def orient_raw(a: Vec2, b: Vec2, c: Vec2) -> float:
 _BLOCK = 1 << 14
 
 
-def _cross(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
-
-
-def point_segment_distances(P: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def point_segment_distances(P, A, B) -> np.ndarray:
     """Euclidean distances from points ``P`` to the closed segments ``A``->``B``.
 
-    The arrays broadcast against each other; their last axis holds x and
-    y.  A zero-length segment measures the distance to its point.
+    Each argument is an (x, y) pair of arrays, or an array whose first
+    axis holds x and y; the x and y arrays of all three broadcast against
+    each other.  A zero-length segment measures the distance to its point.
     """
-    D = B - A
-    L2 = np.maximum((D * D).sum(axis=-1), 1e-300)
-    t = np.clip(((P - A) * D).sum(axis=-1) / L2, 0.0, 1.0)
-    E = P - (A + t[..., None] * D)
-    return np.sqrt((E * E).sum(axis=-1))
+    (px, py), (ax, ay), (bx, by) = P, A, B
+    dx, dy = bx - ax, by - ay
+    L2 = np.maximum(dx * dx + dy * dy, 1e-300)
+    t = np.minimum(np.maximum(((px - ax) * dx + (py - ay) * dy) / L2, 0.0), 1.0)
+    ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+    return np.sqrt(ex * ex + ey * ey)
 
 
 def segment_pair_contacts(
     A: np.ndarray, B: np.ndarray, I: np.ndarray, J: np.ndarray, exclude_shared=False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distance, proper-crossing flag and EPS contact of each pair of
-    segments ``A[I]->B[I]`` and ``A[J]->B[J]``.
+    segments ``p = A[I]->B[I]`` and ``q = A[J]->B[J]``.
 
     A pair crosses properly when the open segments cross transversally by
     the exact float orientation signs and their bounding boxes meet: the
@@ -110,25 +110,36 @@ def segment_pair_contacts(
     lies within EPS of the other segment, as in a collinear doubling-back.
     Two shared endpoints make the same segment, which is in contact.
     Segment lengths are not checked here; see require_segment_lengths.
-    """
-    p1, p2, q1, q2 = A[I], B[I], A[J], B[J]
-    dp, dq = p2 - p1, q2 - q1
-    o1, o2 = _cross(dp, q1 - p1), _cross(dp, q2 - p1)
-    o3, o4 = _cross(dq, p1 - q1), _cross(dq, p2 - q1)
-    boxes_meet = (
-        (np.maximum(p1, p2) >= np.minimum(q1, q2)) & (np.maximum(q1, q2) >= np.minimum(p1, p2))
-    ).all(axis=-1)
-    proper = boxes_meet & ((o1 > 0.0) != (o2 > 0.0)) & ((o3 > 0.0) != (o4 > 0.0))
-    proper &= (o1 != 0.0) & (o2 != 0.0) & (o3 != 0.0) & (o4 != 0.0)
-    del dp, dq, o1, o2, o3, o4, boxes_meet  # bound the peak on long pair lists
-    d_q1, d_q2 = point_segment_distances(q1, p1, p2), point_segment_distances(q2, p1, p2)
-    d_p1, d_p2 = point_segment_distances(p1, q1, q2), point_segment_distances(p2, q1, q2)
-    dist = np.where(proper, 0.0, np.minimum(np.minimum(d_q1, d_q2), np.minimum(d_p1, d_p2)))
 
-    c11, c12, c21, c22 = (np.hypot(*(p - q).T) <= EPS for p in (p1, p2) for q in (q1, q2))
-    shared = c11.astype(int) + c12 + c21 + c22
-    free_touch = (np.where(c11 | c12, d_p2, d_p1) <= EPS) | (np.where(c11 | c21, d_q2, d_q1) <= EPS)
-    contact = np.where(exclude_shared & (shared > 0), (shared > 1) | free_touch, dist <= EPS)
+    Each pair is gathered once as four (point, segment) rows, p1|q, q1|p,
+    p2|q and q2|p: one cross product gives the four orientations, and one
+    projection the four endpoint distances.
+    """
+    I, J = np.asarray(I), np.asarray(J)
+    k, h, n = len(I), 2 * len(I), len(A)
+    ends = np.concatenate((A.T, B.T), axis=1)  # x and y of every start, then every end
+    In, Jn = I + n, J + n
+    # each row's point, the start of its other segment, and that segment's end
+    rows = ends.take(np.concatenate((I, J, In, Jn, J, I, J, I, Jn, In, Jn, In)), axis=1)
+    P, a, b = rows[:, : 4 * k], rows[:, 4 * k : 8 * k], rows[:, 8 * k :]
+    (px, py), (ax, ay), (bx, by) = P, a, b
+    wx, wy = px - ax, py - ay
+    o = (bx - ax) * wy - (by - ay) * wx  # o3, o1, o4, o2
+    above, off = o > 0.0, o != 0.0
+    crosses = (above[:h] != above[h:]) & off[:h] & off[h:]
+    lo, hi = np.minimum(a[:, :h], b[:, :h]), np.maximum(a[:, :h], b[:, :h])
+    boxes_meet = (hi[:, :k] >= lo[:, k:]) & (hi[:, k:] >= lo[:, :k])
+    proper = boxes_meet[0] & boxes_meet[1] & crosses[:k] & crosses[k:]
+    d = point_segment_distances(P, a, b)  # d_p1, d_q1, d_p2, d_q2
+    nearest = np.minimum(d[:h], d[h:])
+    dist = np.where(proper, 0.0, np.minimum(nearest[:k], nearest[k:]))
+
+    # how many endpoints of the other segment lie within EPS of each row's point
+    near = (np.hypot(wx, wy) <= EPS).view(np.uint8) + (np.hypot(px - bx, py - by) <= EPS).view(np.uint8)
+    shared = near[:k] + near[h : h + k]  # p1's and p2's
+    # each segment's free endpoint: its end where its start is shared
+    free_touch = np.where(near[:h] > 0, d[h:], d[:h]) <= EPS
+    contact = np.where(exclude_shared & (shared > 0), (shared > 1) | free_touch[:k] | free_touch[k:], dist <= EPS)
     return dist, proper, contact
 
 
@@ -143,11 +154,11 @@ def require_segment_lengths(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> None
 
 
 def _segment_blocks(starts: np.ndarray, ends: np.ndarray, n_samples: int):
-    """Segments ``starts``->``ends`` in blocks of shape (k, 1, 2) that
-    broadcast against ``n_samples`` samples."""
+    """Segments ``starts``->``ends`` in blocks, as x and y arrays of shape
+    (k, 1) that broadcast against ``n_samples`` samples."""
     step = max(1, _BLOCK // max(1, n_samples))
     for lo in range(0, len(starts), step):
-        yield starts[lo : lo + step, None], ends[lo : lo + step, None]
+        yield starts.T[:, lo : lo + step, None], ends.T[:, lo : lo + step, None]
 
 
 def winding_numbers(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -166,8 +177,7 @@ def winding_numbers(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
     # a rising segment crossing the ray counts +1 with the sample on its
     # left, a falling one -1 with the sample on its right
     for sign, group in ((1, rising), (-1, ~rising)):
-        for s, t in _segment_blocks(points[group], ends[group], len(samples)):
-            sx, sy, tx, ty = s[..., 0], s[..., 1], t[..., 0], t[..., 1]
+        for (sx, sy), (tx, ty) in _segment_blocks(points[group], ends[group], len(samples)):
             left = (tx - sx) * (py - sy) - (px - sx) * (ty - sy)
             w += sign * (((sy <= py) != (ty <= py)) & (sign * left > 0.0)).sum(axis=0)
     return w
@@ -177,7 +187,7 @@ def curve_distances(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Distance from each sample to the closed polyline ``points``."""
     d = np.full(len(samples), np.inf)
     for s, t in _segment_blocks(points, np.roll(points, -1, axis=0), len(samples)):
-        d = np.minimum(d, point_segment_distances(samples, s, t).min(axis=0))
+        d = np.minimum(d, point_segment_distances(samples.T, s, t).min(axis=0))
     return d
 
 

@@ -43,7 +43,7 @@ from .geometry import EPS, TWO_PI
 _PLANE_BLOCK = 1 << 18
 
 #: Cached attributes that depend on the vertex coordinates.
-_VERTEX_CACHES = ("corner_angles", "cone_angles", "face_points3d", "face_frames", "edge_vectors")
+_VERTEX_CACHES = ("corner_angles", "cone_angles", "face_points3d", "face_frames", "face_frame_lists", "edge_vectors")
 
 
 class Corners(NamedTuple):
@@ -55,6 +55,17 @@ class Corners(NamedTuple):
     prev: np.ndarray    # previous corner of the same face
     start: np.ndarray   # first corner of each face
     twin: Optional[np.ndarray] = None  # corner running the other way (set by Polyhedron)
+
+
+class WalkPlan(NamedTuple):
+    """The corner arrays as tuples, for walks that step one corner at a time."""
+
+    face: tuple
+    start: tuple
+    next: tuple
+    twin: tuple
+    vertex: tuple
+    by_neighbour: tuple  # per face, its corners in order of the face across them
 
 
 def _corners(cycles) -> Corners:
@@ -79,6 +90,7 @@ class Polyhedron:
     edge_ends : (E, 2) int array of ``edges``.
     corners : flat per-corner arrays of ``faces`` with their ``twin``
         corners, the half-edges of the mesh (see ``Corners``).
+    plan : the same corners as tuples, for per-tree walks (see ``WalkPlan``).
     n_edges : edge count (the N of the stretch bound pi / (20 N)).
     """
 
@@ -270,6 +282,19 @@ class Polyhedron:
                 stacklevel=3,
             )
 
+    @cached_property
+    def plan(self) -> WalkPlan:
+        """``corners`` as tuples, and each face's corners ordered by the face
+        across them; it depends only on the corners, so ``transformed``
+        shares it."""
+        c = self.corners
+        order = np.lexsort((c.face[c.twin], c.face)).tolist()
+        bounds = [*c.start.tolist(), len(order)]
+        return WalkPlan(
+            *(tuple(a.tolist()) for a in (c.face, c.start, c.next, c.twin, c.vertex)),
+            tuple(tuple(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
+        )
+
     # -- vertex-derived data, computed once per mesh ---------------------
 
     @cached_property
@@ -302,6 +327,11 @@ class Polyhedron:
         time, bitwise equal to ``local_coords`` of each face.
         """
         return local_frames(self.face_points3d)
+
+    @cached_property
+    def face_frame_lists(self) -> tuple:
+        """Per face, ``face_frames`` as a list of [x, y] floats."""
+        return tuple(fr.tolist() for fr in self.face_frames)
 
     @cached_property
     def edge_vectors(self) -> np.ndarray:

@@ -9,7 +9,7 @@ unstretched sliver admits overlapping unfoldings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -47,6 +47,11 @@ def census(
     (default pi / (20 N)).  With ``rotate_first`` false, lambda = 1 rows
     exercise the mesh exactly as given.  Rows are deterministic and
     ordered by (lambda position, tree id).
+
+    A cut depends only on the corners and on ``vertex_order``, which two
+    lambdas can round differently at a near-tie in x.  So the trees are
+    rooted and cut once per vertex order, and each lambda develops those
+    surfaces on its own mesh.
     """
     theta = default_theta_max(P) if theta_max is None else float(theta_max)
     R = choose_rotation(P, seed=seed) if rotate_first else np.eye(3)
@@ -54,17 +59,18 @@ def census(
 
     resolved = [required_lambda(P_rot, theta) if lam == "auto" else float(lam) for lam in lambdas]
 
-    trees = list(enumerate_spanning_trees(P, cap=cap))
+    surfaces: dict = {}  # vertex order -> the cut of every tree, in tree order
     rows = []
     for lam in resolved:
         Q = apply_linear(P, R, lam) if (rotate_first or lam != 1.0) else P
-        root = vertex_order(Q).x_max
-        for tid, T in enumerate(trees):
-            rooted = SpanningTree.from_edges(Q.n_vertices, T.edges, root)
-            layout = develop(cut(Q, rooted))
+        key = vertex_order(Q)
+        if key not in surfaces:
+            surfaces[key] = [cut(Q, T) for T in enumerate_spanning_trees(Q, cap=cap)]
+        for tid, S in enumerate(surfaces[key]):
+            layout = develop(S if S.mesh is Q else replace(S, mesh=Q))
             verdict = certify_net(layout)
             rows.append(
-                CensusRow(tid, is_increasing(Q, rooted), verdict.status, len(verdict.witnesses), lam)
+                CensusRow(tid, is_increasing(Q, S.tree), verdict.status, len(verdict.witnesses), lam)
             )
     return rows
 

@@ -77,6 +77,8 @@ class SpanningTree:
             raise NotSpanningTree(f"expected {n_vertices - 1} distinct edges, got {len(es)}")
         adj: dict[int, list[int]] = {v: [] for v in range(n_vertices)}
         for a, b in es:
+            if a < 0 or b >= n_vertices:
+                raise NotSpanningTree(f"edge ({a}, {b}) has an endpoint outside the {n_vertices} vertices")
             adj[a].append(b)
             adj[b].append(a)
         parent = [None] * n_vertices

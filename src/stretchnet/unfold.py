@@ -146,7 +146,7 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
     left (so its planar image is counterclockwise) and rotated to start
     at a copy of the x-minimal vertex.  A corner is cut when it or its
     twin runs from a vertex to its parent.  The walk and the records run
-    on Python lists: census meshes are too small to repay numpy calls.
+    on the mesh's ``plan``: census meshes are too small to repay numpy calls.
 
     Raises NotSpanningTree when a tree edge is not a mesh edge, or when
     the boundary does not have 2(V - 1) edges: that length test is the
@@ -154,10 +154,10 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
     ``_check_spanning``).
     """
     up = _check_spanning(Q, T)
-    c = Q.corners
-    is_cut = up | up[c.twin]
+    is_cut = up | up[Q.corners.twin]
     is_cut.flags.writeable = False
-    tails, nxt, twin, cuts = c.vertex.tolist(), c.next.tolist(), c.twin.tolist(), is_cut.tolist()
+    plan, cuts = Q.plan, is_cut.tolist()
+    tails, nxt, twin = plan.vertex, plan.next, plan.twin
 
     # the successor of a cut corner turns about its head to the next cut corner
     start = cuts.index(True)
@@ -179,7 +179,7 @@ def cut(Q: Polyhedron, T: SpanningTree) -> CutSurface:
     walk = walk[shift:] + walk[:shift]
 
     position = dict(zip(walk, range(len(walk))))
-    face, first = c.face.tolist(), c.start.tolist()
+    face, first = plan.face, plan.start
     records = []
     for k in walk:
         a, b, f = tails[k], tails[nxt[k]], face[k]
@@ -204,17 +204,18 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     disagree beyond COMPAT_TOL, which signals accumulated numerical
     error or an invalid surface.
 
-    Face frames come from the mesh's cache.  Corners are placed with
-    float arithmetic: faces are too small to repay numpy calls.
+    Face frames and the walk plan come from the mesh's caches.  Corners
+    are placed with float arithmetic: faces are too small to repay numpy
+    calls.
     """
     Q = S.mesh
-    corners = Q.corners
+    plan = Q.plan
     n_faces = len(Q.faces)
-    face, first, twin = corners.face.tolist(), corners.start.tolist(), corners.twin.tolist()
+    face, first, twin = plan.face, plan.start, plan.twin
     cuts = S.is_cut.tolist()
     # by default, the face of the first corner at the root vertex
-    root = face[corners.vertex.tolist().index(S.root_vertex)] if root_face is None else root_face
-    local = [fr.tolist() for fr in Q.face_frames]
+    root = face[plan.vertex.index(S.root_vertex)] if root_face is None else root_face
+    local = Q.face_frame_lists
 
     face_points: list = [None] * n_faces
 
@@ -235,9 +236,9 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
         f = queue.popleft()
         lo = first[f]
         n = len(local[f])
-        # neighbours in face order: two faces of a convex polyhedron share at most one edge
-        for g, k in sorted([(face[twin[k]], k) for k in range(lo, lo + n) if not cuts[k]]):
-            if g in seen:
+        for k in plan.by_neighbour[f]:
+            g = face[twin[k]]
+            if cuts[k] or g in seen:
                 continue
             # the fold runs a -> b from position pa in f, and b -> a from pb in g
             pa, pb = k - lo, twin[k] - first[g]

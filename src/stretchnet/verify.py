@@ -11,8 +11,10 @@ structural facts the stretching is meant to buy, so their failure, like
 a clockwise boundary, is a precondition problem rather than overlap.
 
 The collision check measures only segment pairs whose bounding boxes
-come within the tolerance, found by sorting the boxes by x.  It and the
-arm oracles decide contacts with ``geometry``'s array kernels.
+come within the tolerance, found by sorting the boxes by x.  It takes
+the x-overlapping pairs in blocks of bounded size, so its memory does
+not grow with their number.  It and the arm oracles decide contacts
+with ``geometry``'s array kernels.
 """
 
 from __future__ import annotations
@@ -136,28 +138,36 @@ def check_turn_directions(D: BoundaryDecomposition) -> Verdict:
     return Verdict(Status.NET, (), {"turn_directions": True})
 
 
-def _candidate_pairs(A: np.ndarray, B: np.ndarray, margin: float) -> tuple:
-    """Index pairs (i < j) of segments whose bounding boxes, each grown by
-    ``margin``, overlap.
+#: Largest number of x-overlapping segment pairs the contact check
+#: holds at once, which bounds its memory on long boundaries.
+_PAIR_BLOCK = 1 << 12
+
+
+def _candidate_pairs(A: np.ndarray, B: np.ndarray, margin: float):
+    """Blocks of index pairs (I, J), i < j, of segments whose bounding
+    boxes, each grown by ``margin``, overlap.
 
     Broad phase of the contact check: the boxes are sorted by left edge
     and every box is paired with the later ones that start before it
-    ends (argsort plus searchsorted), then pairs are filtered by their
-    y-extents.  Nearly horizontal boundaries have short x-extents, so
-    few pairs survive.
+    ends (argsort plus searchsorted).  These x-overlapping pairs are
+    numbered in that order and taken _PAIR_BLOCK at a time, and each
+    block is filtered by the boxes' y-extents.  Nearly horizontal
+    boundaries have short x-extents, so few pairs survive.
     """
-    lo = np.minimum(A, B) - margin
-    hi = np.maximum(A, B) + margin
-    order = np.argsort(lo[:, 0])
-    xlo, xhi = lo[order, 0], hi[order, 0]
-    stop = np.searchsorted(xlo, xhi, side="right")
-    counts = np.maximum(stop - np.arange(1, len(order) + 1), 0)
-    first = np.repeat(np.arange(len(order)), counts)
-    offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    p, q = order[first], order[first + 1 + offset]
-    keep = (lo[q, 1] <= hi[p, 1]) & (lo[p, 1] <= hi[q, 1])
-    p, q = p[keep], q[keep]
-    return np.minimum(p, q), np.maximum(p, q)
+    (xlo, ylo), (xhi, yhi) = (np.minimum(A, B) - margin).T, (np.maximum(A, B) + margin).T
+    order = np.argsort(xlo)
+    rank = np.arange(1, len(order) + 1)
+    counts = np.maximum(np.searchsorted(xlo[order], xhi[order], side="right") - rank, 0)
+    ends = np.cumsum(counts)  # pair g belongs to the first box f with ends[f] > g
+    partner = rank + counts - ends  # the sorted position of f's partner in pair g, less g
+    total = int(ends[-1]) if len(ends) else 0
+    for g0 in range(0, total, _PAIR_BLOCK):
+        g = np.arange(g0, min(g0 + _PAIR_BLOCK, total))
+        first = np.searchsorted(ends, g, side="right")
+        p, q = order[first], order[partner[first] + g]
+        keep = (ylo[q] <= yhi[p]) & (ylo[p] <= yhi[q])
+        p, q = p[keep], q[keep]
+        yield np.minimum(p, q), np.maximum(p, q)
 
 
 def polyline_self_intersections(points: Sequence, closed: bool) -> list:
@@ -167,7 +177,8 @@ def polyline_self_intersections(points: Sequence, closed: bool) -> list:
     consecutive ones may meet only at their shared endpoint.  Witnesses
     are ordered by discovery along the traversal (the first one is where
     a pen tracing the curve first touches ink), matching how a first
-    self-contact would be located while drawing the boundary.
+    self-contact would be located while drawing the boundary; so their
+    order does not depend on how the pairs were split into blocks.
 
     Only pairs whose bounding boxes come within the contact tolerance are
     measured, each once.  The boxes are grown by EPS plus a rounding
@@ -178,21 +189,22 @@ def polyline_self_intersections(points: Sequence, closed: bool) -> list:
     can overlap where the segments' own boxes are disjoint; the contact
     kernel's bounding-box guard keeps such a pair from being read as
     crossing.  With two or more segments, the lowest-numbered segment no
-    longer than EPS raises DegenerateSegment.
+    longer than EPS raises DegenerateSegment.  The pairs are measured one
+    broad-phase block at a time.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     m = len(pts) if closed else len(pts) - 1
-    A, B = pts[:m], np.roll(pts, -1, axis=0)[:m]
+    A, B = pts[:m], np.concatenate((pts[1:], pts[:1]))[:m]
     if m > 1:  # a walk over all pairs meets the lowest-numbered short segment first
         require_segment_lengths(A, B, np.arange(m))
     scale = float(np.abs(pts).max())
-    I, J = _candidate_pairs(A, B, EPS + 64.0 * np.finfo(float).eps * scale)
-    consecutive = (I + 1 == J) | (closed & (I == 0) & (J == m - 1))
-    _, proper, hit = segment_pair_contacts(A, B, I, J, consecutive)
     raw = []
-    for i, j, crossing in zip(I[hit].tolist(), J[hit].tolist(), proper[hit].tolist()):
-        point, t = crossing_point(A[i].tolist(), B[i].tolist(), A[j].tolist(), B[j].tolist(), crossing)
-        raw.append((j, t, i, point))
+    for I, J in _candidate_pairs(A, B, EPS + 64.0 * np.finfo(float).eps * scale):
+        consecutive = (I + 1 == J) | (closed & (I == 0) & (J == m - 1))
+        _, proper, hit = segment_pair_contacts(A, B, I, J, consecutive)
+        for i, j, crossing in zip(I[hit].tolist(), J[hit].tolist(), proper[hit].tolist()):
+            point, t = crossing_point(A[i].tolist(), B[i].tolist(), A[j].tolist(), B[j].tolist(), crossing)
+            raw.append((j, t, i, point))
     raw.sort()
     return [Witness(seg_a=i, seg_b=j, point=point) for j, t, i, point in raw]
 

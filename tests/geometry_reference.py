@@ -1,6 +1,8 @@
 """Reference 2D predicates: the scalar contact and winding functions, and
 the per-segment winding grid, as they stood before ``stretchnet.geometry``
-became one set of array kernels.
+became one set of array kernels; and the first array contact kernel,
+which measured each pair's four endpoint distances by four calls on
+arrays whose last axis holds x and y.
 
 ``tests/test_geometry_equivalence.py`` compares the library with these
 functions, and ``certificate_reference`` builds its dense certificate on
@@ -59,6 +61,44 @@ def segment_distance(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> float:
         point_segment_distance(q1, p1, p2),
         point_segment_distance(q2, p1, p2),
     )
+
+
+def point_segment_distances(P: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Distances from points ``P`` to the closed segments ``A``->``B``;
+    the last axis of each array holds x and y."""
+    D = B - A
+    L2 = np.maximum((D * D).sum(axis=-1), 1e-300)
+    t = np.clip(((P - A) * D).sum(axis=-1) / L2, 0.0, 1.0)
+    E = P - (A + t[..., None] * D)
+    return np.sqrt((E * E).sum(axis=-1))
+
+
+def _cross(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+
+
+def segment_pair_contacts(A: np.ndarray, B: np.ndarray, I, J, exclude_shared=False) -> tuple:
+    """Distance, proper-crossing flag and EPS contact of each pair of
+    segments ``A[I]->B[I]`` and ``A[J]->B[J]`` (see
+    ``stretchnet.geometry.segment_pair_contacts``)."""
+    p1, p2, q1, q2 = A[I], B[I], A[J], B[J]
+    dp, dq = p2 - p1, q2 - q1
+    o1, o2 = _cross(dp, q1 - p1), _cross(dp, q2 - p1)
+    o3, o4 = _cross(dq, p1 - q1), _cross(dq, p2 - q1)
+    boxes_meet = (
+        (np.maximum(p1, p2) >= np.minimum(q1, q2)) & (np.maximum(q1, q2) >= np.minimum(p1, p2))
+    ).all(axis=-1)
+    proper = boxes_meet & ((o1 > 0.0) != (o2 > 0.0)) & ((o3 > 0.0) != (o4 > 0.0))
+    proper &= (o1 != 0.0) & (o2 != 0.0) & (o3 != 0.0) & (o4 != 0.0)
+    d_q1, d_q2 = point_segment_distances(q1, p1, p2), point_segment_distances(q2, p1, p2)
+    d_p1, d_p2 = point_segment_distances(p1, q1, q2), point_segment_distances(p2, q1, q2)
+    dist = np.where(proper, 0.0, np.minimum(np.minimum(d_q1, d_q2), np.minimum(d_p1, d_p2)))
+
+    c11, c12, c21, c22 = (np.hypot(*(p - q).T) <= EPS for p in (p1, p2) for q in (q1, q2))
+    shared = c11.astype(int) + c12 + c21 + c22
+    free_touch = (np.where(c11 | c12, d_p2, d_p1) <= EPS) | (np.where(c11 | c21, d_q2, d_q1) <= EPS)
+    contact = np.where(exclude_shared & (shared > 0), (shared > 1) | free_touch, dist <= EPS)
+    return dist, proper, contact
 
 
 def crossing_point(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> tuple[tuple[float, float], float]:

@@ -3,7 +3,8 @@ winding question as the scalar predicates kept in ``geometry_reference``.
 
 Inputs are dyadic near-touching corners (see test_certificate_equivalence):
 segment pairs that share an endpoint, double back, coincide or have
-(near-)zero length; closed polylines with query points on and off the
+(near-)zero length, singly and as lists for the pair kernel, which must
+equal the four-call kernel it replaced bit for bit; closed polylines with query points on and off the
 curve; and chain pairs for the arm oracle, some with zero-length
 segments.  Results must be equal, or both calls must raise the same
 exception type with the same message.
@@ -49,6 +50,46 @@ def test_segment_distance(seg):
     assert geometry.segment_distance(*seg) == pytest.approx(
         reference.segment_distance(*seg), abs=1e-12
     )
+
+
+@st.composite
+def pair_list(draw):
+    """Segments from segment_pair(), each drawn pair among the measured
+    ones plus random pairs of the segments, and an exclude_shared flag
+    or per-pair mask."""
+    segs = [s for p1, p2, q1, q2 in draw(st.lists(segment_pair(), min_size=1, max_size=8)) for s in ((p1, p2), (q1, q2))]
+    A, B = np.array([a for a, _ in segs], dtype=float), np.array([b for _, b in segs], dtype=float)
+    index = st.integers(0, len(segs) - 1)
+    pairs = [(i, i + 1) for i in range(0, len(segs), 2)] + draw(st.lists(st.tuples(index, index), max_size=12))
+    pairs = draw(st.permutations(pairs))
+    I, J = np.array([i for i, _ in pairs], dtype=np.intp), np.array([j for _, j in pairs], dtype=np.intp)
+    exclude = draw(st.one_of(st.booleans(), st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)).map(np.array)))
+    return A, B, I, J, exclude
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair_list())
+def test_segment_pair_contacts_equal_the_four_call_kernel(case):
+    got, want = geometry.segment_pair_contacts(*case), reference.segment_pair_contacts(*case)
+    for name, a, b in zip(("dist", "proper", "contact"), got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_segment_pair_contacts_of_no_pairs():
+    A = np.array([[0.0, 0.0], [1.0, 1.0]])
+    none = np.array([], dtype=np.intp)
+    for got, want in zip(geometry.segment_pair_contacts(A, A + 1.0, none, none, True), reference.segment_pair_contacts(A, A + 1.0, none, none, True)):
+        assert got.shape == want.shape == (0,) and got.dtype == want.dtype
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(corner, min_size=3, max_size=3), st.lists(st.tuples(corner, corner), min_size=1, max_size=6))
+def test_point_segment_distances_equal_the_reference(points, segments):
+    # every point against every segment, through broadcasting as curve_distances does
+    P = np.array(points, dtype=float)
+    A, B = (np.array([s[k] for s in segments], dtype=float)[:, None] for k in (0, 1))
+    got = geometry.point_segment_distances(P.T, np.moveaxis(A, -1, 0), np.moveaxis(B, -1, 0))
+    assert np.array_equal(got, reference.point_segment_distances(P, A, B))
 
 
 @st.composite

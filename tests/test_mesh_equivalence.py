@@ -216,18 +216,41 @@ def test_transformed_equals_rebuild(name, M):
 
 def test_transformed_shares_combinatorics_and_drops_vertex_caches():
     P = shapes.cube()
-    before = (P.cone_angles, P.face_points3d, P.face_frames, P.edge_vectors)
+    before = (P.cone_angles, P.face_points3d, P.face_frames, P.face_frame_lists, P.edge_vectors)
+    plan = P.plan
     Q = P.transformed(np.array([[3.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    for attr in ("faces", "edges", "edge_faces", "adjacency", "corners", "edge_ends"):
+    for attr in ("faces", "edges", "edge_faces", "adjacency", "corners", "edge_ends", "plan"):
         assert getattr(Q, attr) is getattr(P, attr)
     assert Q.corners.twin is P.corners.twin
-    assert all(a is b for a, b in zip((P.cone_angles, P.face_points3d, P.face_frames, P.edge_vectors), before))
+    assert all(a is b for a, b in zip((P.cone_angles, P.face_points3d, P.face_frames, P.face_frame_lists, P.edge_vectors), before))
+    assert "face_frame_lists" not in vars(Q)
+    assert list(Q.face_frame_lists) == [fr.tolist() for fr in Q.face_frames] != list(P.face_frame_lists)
+    with pytest.raises(AttributeError):
+        plan.twin = ()
+    with pytest.raises(TypeError):
+        plan.by_neighbour[0] = ()
+    with pytest.raises(TypeError):
+        plan.by_neighbour[0][0] = 0
     np.testing.assert_allclose(Q.edge_vectors, P.edge_vectors @ np.array([[3.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]).T, atol=1e-15)
     assert not Q.edge_vectors.flags.writeable
     assert not np.allclose(Q.cone_angles, P.cone_angles)
     assert math.isclose(Q.cone_angles.sum(), 2 * math.pi * 8 - 4 * math.pi)  # Gauss-Bonnet
     np.testing.assert_array_equal(Q.face_points3d[0], Q.vertices[list(Q.faces[0])])
     assert not Q.face_points3d[0].flags.writeable
+
+
+@pytest.mark.parametrize("make", [shapes.cube, shapes.dodecahedron, lambda: shapes.random_hull(60, 1)], ids=["cube", "dodecahedron", "hull-60"])
+def test_plan_orders_each_face_as_a_per_face_sort(make):
+    # develop once sorted each face's corners by the face across them
+    P = make()
+    plan, c = P.plan, P.corners
+    for name in ("face", "start", "next", "twin", "vertex"):
+        assert getattr(plan, name) == tuple(getattr(c, name).tolist())
+    face, twin = plan.face, plan.twin
+    for f, lo in enumerate(plan.start):
+        corners = range(lo, lo + len(P.faces[f]))
+        assert plan.by_neighbour[f] == tuple(k for _, k in sorted((face[twin[k]], k) for k in corners))
+    assert {type(k) for ks in plan.by_neighbour for k in ks} == {int}
 
 
 @pytest.mark.parametrize(

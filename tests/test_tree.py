@@ -230,3 +230,11 @@ def test_from_edges_rejects_a_root_outside_the_vertices(root):
     edges = [(0, 1), (0, 2), (0, 3)]
     with pytest.raises(NotSpanningTree, match=rf"^root {root} is not one of the 4 vertices$"):
         SpanningTree.from_edges(4, edges, root)
+
+
+@pytest.mark.parametrize("far", [7, -1])
+def test_from_edges_rejects_an_endpoint_outside_the_vertices(far):
+    edges = [(0, 1), (0, 2), (0, far)]
+    edge = (min(0, far), max(0, far))
+    with pytest.raises(NotSpanningTree, match=rf"^edge \({edge[0]}, {edge[1]}\) has an endpoint outside the 4 vertices$"):
+        SpanningTree.from_edges(4, edges, 0)

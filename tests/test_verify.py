@@ -1,15 +1,20 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from stretchnet import shapes
 from stretchnet.errors import LengthMismatch, VerticalSegment
 from stretchnet.geometry import EPS, segment_pair_contacts
 from stretchnet.pipeline import stretch_and_unfold
-from stretchnet.tree import enumerate_spanning_trees
+from stretchnet.transform import apply_linear, choose_rotation, default_theta_max, plan_stretch, required_lambda, rotate
+from stretchnet.tree import build_increasing_tree, enumerate_spanning_trees
 from stretchnet.unfold import BoundaryCurve, boundary_curve, cut, develop
 from stretchnet.verdict import Status
+from stretchnet import verify
 from stretchnet.verify import (
     _candidate_pairs,
     certify_boundary,
@@ -142,11 +147,13 @@ def closed_polyline(draw):
 @example([(99999999.99999999, 3.0), (99999999.99999999, 3.0), (5e-324, -1e8)])
 def test_candidate_pairs_hold_every_consecutive_pair_once(points):
     # polyline_self_intersections measures consecutive pairs only because
-    # the broad phase returns them: each pair's boxes share an endpoint
+    # the broad phase returns them: each pair's boxes share an endpoint.
+    # Blocks of two x-overlapping pairs make the pairs of one box span blocks.
     pts = np.array(points)
     m = len(pts)
-    I, J = _candidate_pairs(pts, np.roll(pts, -1, axis=0), EPS + 64.0 * np.finfo(float).eps * np.abs(pts).max())
-    pairs = list(zip(I.tolist(), J.tolist()))
+    with mock.patch.object(verify, "_PAIR_BLOCK", 2):
+        blocks = list(_candidate_pairs(pts, np.roll(pts, -1, axis=0), EPS + 64.0 * np.finfo(float).eps * np.abs(pts).max()))
+    pairs = [(i, j) for I, J in blocks for i, j in zip(I.tolist(), J.tolist())]
     assert len(set(pairs)) == len(pairs) and all(i < j for i, j in pairs)
     assert {(i, i + 1) for i in range(m - 1)} | {(0, m - 1)} <= set(pairs)
 
@@ -164,6 +171,67 @@ def test_polyline_disjoint_segments_with_overlapping_grown_boxes():
         (385528.68624678906, -121.60207857188706),
     ]
     assert polyline_self_intersections(pts, closed=False) == []
+
+
+def overlap_census_boundaries():
+    """The boundary of every spanning tree of the cube and the octahedron
+    at lambda 1 and at the default bound, most of them with contacts."""
+    out = []
+    for P in (shapes.cube(), shapes.octahedron()):
+        R = choose_rotation(P)
+        for lam in (1.0, required_lambda(rotate(P, R), default_theta_max(P))):
+            Q = apply_linear(P, R, lam)
+            out += [boundary_curve(develop(cut(Q, T))).points for T in enumerate_spanning_trees(Q)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def hull_boundaries():
+    """The 1,000-point hull at pi/40, and unstretched, where it has contacts."""
+    P = shapes.random_hull(1000, 0)
+    S = plan_stretch(P, theta_max=math.pi / 40)
+    out = {}
+    for name, lam in (("pi-40", S.lam), ("lambda-1", 1.0)):
+        Q = apply_linear(P, S.rotation, lam)
+        out[name] = boundary_curve(develop(cut(Q, build_increasing_tree(Q)))).points
+    return out
+
+
+def witnesses_by_block(points, blocks):
+    out = []
+    for block in blocks:
+        with mock.patch.object(verify, "_PAIR_BLOCK", block):
+            out.append(polyline_self_intersections(points, closed=True))
+    return out
+
+
+def test_census_witnesses_do_not_depend_on_the_pair_block():
+    found = 0
+    for points in overlap_census_boundaries()[::3]:
+        first, *rest = witnesses_by_block(points, (1, 5, verify._PAIR_BLOCK))
+        assert all(w == first for w in rest)
+        found += len(first)
+    assert found > 300
+
+
+@pytest.mark.parametrize("name", ["pi-40", "lambda-1"])
+def test_hull_witnesses_do_not_depend_on_the_pair_block(hull_boundaries, name):
+    # block 1 would take seconds here; 997 splits the pairs of one box
+    first, *rest = witnesses_by_block(hull_boundaries[name], (5, 997, verify._PAIR_BLOCK))
+    assert all(w == first for w in rest)
+    assert (len(first) > 0) == (name == "lambda-1")
+
+
+def test_contact_check_memory_is_bounded(hull_boundaries):
+    # all 187,679 x-overlapping box pairs at once held 9.5 MB
+    B = synthetic_boundary(hull_boundaries["pi-40"])
+    tracemalloc.start()
+    try:
+        check_self_intersection(B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_winding_injectivity_simple_ccw():
