@@ -16,9 +16,10 @@ import sys
 from pathlib import Path
 
 from .errors import CompatibilityFailure, MalformedLayout, UnfoldError
+from .geometry import TILT_BOUND
 from .mesh import load_off
 from .oracle import census, census_csv
-from .transform import THETA_MAX_LIMIT, sweep_directions
+from .transform import sweep_directions
 from .tree import TieRule
 from .unfold import (
     _json_dumps,
@@ -41,8 +42,8 @@ def _theta(value: str):
     if value == "auto":
         return None
     theta = float(value)
-    if not (0.0 < theta < THETA_MAX_LIMIT):
-        raise ValueError(f"theta-max must lie in (0, {THETA_MAX_LIMIT!r}), got {theta!r}")
+    if not (0.0 < theta < TILT_BOUND):
+        raise ValueError(f"theta-max must lie in (0, {TILT_BOUND!r}), got {theta!r}")
     return theta
 
 
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--theta-max",
             default="auto",
-            help=f"per-edge angle bound in radians, in (0, {THETA_MAX_LIMIT:.4f}); 'auto' = pi/(20N)",
+            help=f"per-edge angle bound in radians, in (0, {TILT_BOUND:.4f}); 'auto' = pi/(20N)",
         )
 
     p = sub.add_parser("unfold", help="unfold an OFF mesh into a certified net")
@@ -180,6 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+        print(f"error: --seed must be a non-negative integer, got {args.seed!r}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

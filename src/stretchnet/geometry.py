@@ -30,6 +30,11 @@ Vec2 = Sequence[float]
 
 EPS = 1e-9
 
+#: Every developed edge must stay within this angle of horizontal: the
+#: certificate's tilt check, the arm oracles and the largest admissible
+#: per-edge stretch bound all use it.
+TILT_BOUND = math.pi / 10.0
+
 TWO_PI = 2.0 * math.pi
 
 

@@ -19,10 +19,6 @@ from .errors import OrthogonalEdge, UnfoldError
 from .geometry import EPS
 from .mesh import Polyhedron
 
-#: Largest admissible per-edge angle bound; the unfolding argument needs
-#: every developed edge within pi/10 of horizontal.
-THETA_MAX_LIMIT = math.pi / 10.0
-
 #: Largest number of edge-candidate margins the rotation search holds at once.
 _MARGIN_BLOCK = 1 << 14
 

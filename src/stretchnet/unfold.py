@@ -108,10 +108,6 @@ class BoundaryCurve:
     def segment(self, i: int) -> tuple:
         return self.points[i], self.points[(i + 1) % len(self.points)]
 
-    def segment_vector(self, i: int) -> tuple:
-        a, b = self.segment(i)
-        return (b[0] - a[0], b[1] - a[1])
-
 
 def _check_spanning(Q: Polyhedron, T: SpanningTree) -> np.ndarray:
     """Raise NotSpanningTree unless every tree edge is a mesh edge of ``Q``.

@@ -1,8 +1,11 @@
 """Certification that an unfolding is a net.
 
-The certificate stacks three checks on the boundary polyline: it splits
-into alternating rightward/leftward runs of nearly horizontal segments,
-the run junctions turn the required way, and no two segments collide.
+The certificate stacks three checks on the boundary polyline: every
+segment has |dx| > EPS and tilt below pi/10; each switch between
+rightward and leftward segments, except at the leftmost corner, turns
+the required way; and no two segments collide.  Alternation needs no
+test of its own: on a closed curve with no vertical segment both
+directions occur, and maximal runs of two directions alternate.
 A contact-free closed polyline is a simple polygon, with winding number
 sign(area) inside and 0 outside; as the preimage count of an isometric
 immersion of a disc equals the winding number, positive shoelace area
@@ -20,7 +23,6 @@ with ``geometry``'s array kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +30,7 @@ import numpy as np
 from .errors import LengthMismatch, VerticalSegment
 from .geometry import (
     EPS,
+    TILT_BOUND,
     arg,
     crossing_point,
     curve_distances,
@@ -39,103 +42,46 @@ from .geometry import (
 from .unfold import BoundaryCurve, PlanarLayout, boundary_curve
 from .verdict import Status, Verdict, Witness
 
-#: Every developed edge must stay within this angle of horizontal.
-TILT_BOUND = math.pi / 10.0
 
+def decompose_boundary(B: BoundaryCurve) -> tuple:
+    """The boundary's largest tilt and its wrong-way direction switches.
 
-@dataclass(frozen=True)
-class Run:
-    direction: str          # "R" (dx > 0 on every segment) or "L"
-    segments: tuple
+    One pass over the segments.  A segment with |dx| at most EPS raises
+    VerticalSegment, the signature of insufficient stretching; the first
+    such segment is named.  Otherwise each segment is rightward ("R",
+    dx > 0) or leftward ("L"), and its tilt is its angle to the x-axis.
+    Returns ``(max_tilt, wrong_turns)``: ``wrong_turns`` lists, as
+    ``(corner, direction before, signed turn angle)``, every switch that
+    turns the wrong way, in ascending corner order with a switch at
+    corner 0 last.  A switch R->L must turn counterclockwise (angle > 0)
+    and L->R clockwise.  The switch at the leftmost corner is exempt: at
+    a global extreme the curve is locally convex, so it always turns
+    counterclockwise.
 
-
-@dataclass(frozen=True)
-class Turn:
-    corner: int             # corner index where the runs meet
-    from_dir: str
-    to_dir: str
-    angle: float            # signed turn in (-pi, pi]; > 0 is counterclockwise
-
-
-@dataclass(frozen=True)
-class BoundaryDecomposition:
-    runs: tuple
-    turns: tuple
-    max_tilt: float
-    leftmost_corner: int = 0
-
-    @property
-    def alternating(self) -> bool:
-        n = len(self.runs)
-        return n >= 2 and all(
-            self.runs[i].direction != self.runs[(i + 1) % n].direction for i in range(n)
-        )
-
-
-def decompose_boundary(B: BoundaryCurve) -> BoundaryDecomposition:
-    """Split the closed boundary into maximal rightward/leftward runs.
-
-    Every segment must have |dx| above tolerance; a near-vertical segment
-    raises VerticalSegment, the signature of insufficient stretching.
-    Runs are listed in traversal order beginning with the run containing
-    segment 0, and each junction's signed turn angle is recorded.
+    Once no segment is vertical the maximal runs of one direction
+    alternate, so there is nothing more to check.  A computed dx is the
+    correctly rounded difference of two coordinates and has its exact
+    sign, so dx > 0 on every segment would make x strictly increase
+    around a closed curve.  Hence both directions occur, and two
+    neighbouring maximal runs differ in direction by construction.
     """
     pts = B.points
-    n, dirs, angles, max_tilt = len(pts), [], [], 0.0
-    for i, (a, b) in enumerate(zip(pts, [*pts[1:], *pts[:1]])):
+    n = len(pts)
+    leftmost = min(range(n), key=lambda i: (pts[i][0], pts[i][1]))
+    max_tilt, wrong_turns, before = 0.0, [], None
+    for i in (*range(n), 0):  # segment 0 again closes the switch at corner 0
+        a, b = pts[i], pts[(i + 1) % n]
         dx, dy = b[0] - a[0], b[1] - a[1]
         if abs(dx) <= EPS:
             raise VerticalSegment(f"segment {i} has |dx| = {abs(dx):.3e}")
-        dirs.append("R" if dx > 0 else "L")
-        angles.append(arg((dx, dy)))
-        max_tilt = max(max_tilt, min(abs(angles[i]), math.pi - abs(angles[i])))
-
-    leftmost = min(range(n), key=lambda i: (pts[i][0], pts[i][1]))
-    breaks = [i for i in range(n) if dirs[i] != dirs[i - 1]]
-    if not breaks:
-        return BoundaryDecomposition((Run(dirs[0], tuple(range(n))),), (), max_tilt, leftmost)
-
-    runs = [
-        Run(dirs[start], tuple((start + j) % n for j in range((end - start) % n)))
-        for start, end in zip(breaks, breaks[1:] + breaks[:1])
-    ]
-    if breaks[0] != 0:  # the last run wraps through segment 0, so it comes first
-        runs = runs[-1:] + runs[:-1]
-
-    turns = []
-    for k, run in enumerate(runs):
-        nxt = runs[(k + 1) % len(runs)]
-        i_prev, i_next = run.segments[-1], nxt.segments[0]
-        angle = normalize_angle(angles[i_next] - angles[i_prev])
-        turns.append(Turn(i_next, run.direction, nxt.direction, angle))
-    return BoundaryDecomposition(tuple(runs), tuple(turns), max_tilt, leftmost)
-
-
-def check_turn_directions(D: BoundaryDecomposition) -> Verdict:
-    """Every switch right->left must turn counterclockwise, left->right clockwise.
-
-    The closing junction at the leftmost corner is exempt: the run
-    sequence starts and ends there, and at a global extreme the curve is
-    locally convex, so that switch always turns counterclockwise.
-    """
-    witnesses = []
-    for t in D.turns:
-        if t.from_dir == t.to_dir or t.corner == D.leftmost_corner:
-            continue
-        ccw = t.angle > 0.0
-        want_ccw = t.from_dir == "R"
-        if ccw != want_ccw:
-            witnesses.append(
-                Witness(
-                    note=(
-                        f"corner {t.corner}: {t.from_dir}->{t.to_dir} turns "
-                        f"{'ccw' if ccw else 'cw'} by {t.angle!r}"
-                    )
-                )
-            )
-    if witnesses:
-        return Verdict(Status.PRECONDITION_FAILURE, tuple(witnesses), {"turn_directions": False})
-    return Verdict(Status.NET, (), {"turn_directions": True})
+        direction, angle = "R" if dx > 0 else "L", arg((dx, dy))
+        max_tilt = max(max_tilt, min(abs(angle), math.pi - abs(angle)))
+        if before is not None and direction != before[0] and i != leftmost:
+            turn = normalize_angle(angle - before[1])
+            if (turn > 0.0) != (before[0] == "R"):
+                wrong_turns.append((i, before[0], turn))
+        before = direction, angle
+    return max_tilt, wrong_turns
 
 
 #: Largest number of x-overlapping segment pairs the contact check
@@ -280,7 +226,6 @@ def check_arm_hypotheses(u: Sequence, v: Sequence) -> bool:
         raise ValueError("chains need at least two points")
     if math.hypot(u[0][0] - v[0][0], u[0][1] - v[0][1]) > EPS:
         return False
-    bound = math.pi / 10.0
     for j in range(1, len(u)):
         du = (u[j][0] - u[j - 1][0], u[j][1] - u[j - 1][1])
         dv = (v[j][0] - v[j - 1][0], v[j][1] - v[j - 1][1])
@@ -288,7 +233,7 @@ def check_arm_hypotheses(u: Sequence, v: Sequence) -> bool:
         if abs(lu - lv) > EPS:
             return False
         au, av = arg(du), arg(dv)
-        if not (-bound < au < bound and -bound < av < bound):
+        if not (abs(au) < TILT_BOUND and abs(av) < TILT_BOUND):
             return False
         if av < au:
             return False
@@ -309,7 +254,7 @@ def check_arm_conclusion(u: Sequence, v: Sequence) -> bool:
     if math.hypot(*end_diff) <= EPS:
         raise ValueError("chain endpoints coincide; conclusion undefined")
     a = arg(end_diff)
-    if not (math.pi / 2 - math.pi / 10 < a < math.pi / 2 + math.pi / 10):
+    if not (math.pi / 2 - TILT_BOUND < a < math.pi / 2 + TILT_BOUND):
         return False
     # every u-segment against every v-segment in row-major order: only the
     # shared start may touch, and a zero-length segment raises only in a
@@ -352,25 +297,20 @@ def certify_boundary(B: BoundaryCurve, interior_probes: Iterable = ()) -> Verdic
     checks: dict = {}
     witnesses: list = []
 
-    decomposition = None
     try:
-        decomposition = decompose_boundary(B)
-        checks["boundary_decomposition"] = decomposition.alternating
-        if not decomposition.alternating:
-            witnesses.append(Witness(note="runs do not alternate rightward/leftward"))
+        max_tilt, wrong_turns = decompose_boundary(B)
     except VerticalSegment as exc:
         checks["boundary_decomposition"] = False
         witnesses.append(Witness(note=str(exc)))
-
-    if decomposition is not None:
-        checks["segment_tilt"] = decomposition.max_tilt < TILT_BOUND
+    else:
+        checks["boundary_decomposition"] = True
+        checks["segment_tilt"] = max_tilt < TILT_BOUND
         if not checks["segment_tilt"]:
-            witnesses.append(
-                Witness(note=f"segment tilt {decomposition.max_tilt!r} exceeds pi/10")
-            )
-        turn = check_turn_directions(decomposition)
-        checks.update(turn.checks)
-        witnesses.extend(turn.witnesses)
+            witnesses.append(Witness(note=f"segment tilt {max_tilt!r} exceeds pi/10"))
+        checks["turn_directions"] = not wrong_turns
+        for corner, before, angle in wrong_turns:
+            switch = "R->L turns cw" if before == "R" else "L->R turns ccw"
+            witnesses.append(Witness(note=f"corner {corner}: {switch} by {angle!r}"))
 
     self_int = check_self_intersection(B)
     checks.update(self_int.checks)
@@ -397,21 +337,3 @@ def certify_net(L: PlanarLayout) -> Verdict:
     """Certify a developed layout: net, overlap (with witnesses), or
     precondition failure, from its boundary curve alone."""
     return certify_boundary(boundary_curve(L))
-
-
-def decomposition_prefixes(B: BoundaryCurve, D: BoundaryDecomposition) -> list:
-    """Open polylines R_1, R_1 L_1 R_2, ... ending at each rightward run.
-
-    Only meaningful when the decomposition starts at segment 0 with a
-    rightward run (the normal situation for an increasing-tree boundary
-    traversed from the minimal corner).
-    """
-    if D.runs[0].segments[0] != 0:
-        raise ValueError("decomposition does not start at segment 0")
-    prefixes = []
-    for k, run in enumerate(D.runs):
-        if run.direction != "R":
-            continue
-        last = run.segments[-1]
-        prefixes.append([B.points[i] for i in range(0, last + 1)] + [B.points[(last + 1) % len(B)]])
-    return prefixes

@@ -1,21 +1,139 @@
-"""Reference certificate: the dense all-pairs contact check and the
-always-on winding grid.
+"""Reference certificate: the run decomposition, the dense all-pairs
+contact check and the always-on winding grid.
 
 The library's ``verify.certify_boundary`` measures only segment pairs
 whose bounding boxes come within the tolerance, and skips the winding
-grid on contact-free counterclockwise boundaries.  This module keeps the
-exhaustive form both shortcuts must agree with, verdict for verdict and
-witness for witness.
+grid on contact-free counterclockwise boundaries.  Its structural checks
+are one pass over the segments that builds no runs and does not test
+alternation.  This module keeps the exhaustive form all three shortcuts
+must agree with, verdict for verdict and witness for witness: the
+boundary split into maximal rightward/leftward runs, a turn recorded at
+every junction, and an explicit alternation test.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from stretchnet.errors import VerticalSegment
-from stretchnet.geometry import EPS, EndpointPolicy
+from stretchnet.geometry import EPS, TILT_BOUND, EndpointPolicy, arg, normalize_angle
 from stretchnet.verdict import Status, Verdict, Witness
-from stretchnet.verify import TILT_BOUND, check_turn_directions, decompose_boundary
 
 from geometry_reference import _distance_mask, _winding_grid, crossing_point, segments_intersect
+
+
+@dataclass(frozen=True)
+class Run:
+    direction: str          # "R" (dx > 0 on every segment) or "L"
+    segments: tuple
+
+
+@dataclass(frozen=True)
+class Turn:
+    corner: int             # corner index where the runs meet
+    from_dir: str
+    to_dir: str
+    angle: float            # signed turn in (-pi, pi]; > 0 is counterclockwise
+
+
+@dataclass(frozen=True)
+class BoundaryDecomposition:
+    runs: tuple
+    turns: tuple
+    max_tilt: float
+    leftmost_corner: int = 0
+
+    @property
+    def alternating(self) -> bool:
+        n = len(self.runs)
+        return n >= 2 and all(
+            self.runs[i].direction != self.runs[(i + 1) % n].direction for i in range(n)
+        )
+
+
+def decompose_boundary(B) -> BoundaryDecomposition:
+    """Split the closed boundary into maximal rightward/leftward runs.
+
+    Every segment must have |dx| above tolerance; a near-vertical segment
+    raises VerticalSegment, the signature of insufficient stretching.
+    Runs are listed in traversal order beginning with the run containing
+    segment 0, and each junction's signed turn angle is recorded.
+    """
+    pts = B.points
+    n, dirs, angles, max_tilt = len(pts), [], [], 0.0
+    for i, (a, b) in enumerate(zip(pts, [*pts[1:], *pts[:1]])):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        if abs(dx) <= EPS:
+            raise VerticalSegment(f"segment {i} has |dx| = {abs(dx):.3e}")
+        dirs.append("R" if dx > 0 else "L")
+        angles.append(arg((dx, dy)))
+        max_tilt = max(max_tilt, min(abs(angles[i]), math.pi - abs(angles[i])))
+
+    leftmost = min(range(n), key=lambda i: (pts[i][0], pts[i][1]))
+    breaks = [i for i in range(n) if dirs[i] != dirs[i - 1]]
+    if not breaks:
+        return BoundaryDecomposition((Run(dirs[0], tuple(range(n))),), (), max_tilt, leftmost)
+
+    runs = [
+        Run(dirs[start], tuple((start + j) % n for j in range((end - start) % n)))
+        for start, end in zip(breaks, breaks[1:] + breaks[:1])
+    ]
+    if breaks[0] != 0:  # the last run wraps through segment 0, so it comes first
+        runs = runs[-1:] + runs[:-1]
+
+    turns = []
+    for k, run in enumerate(runs):
+        nxt = runs[(k + 1) % len(runs)]
+        i_prev, i_next = run.segments[-1], nxt.segments[0]
+        angle = normalize_angle(angles[i_next] - angles[i_prev])
+        turns.append(Turn(i_next, run.direction, nxt.direction, angle))
+    return BoundaryDecomposition(tuple(runs), tuple(turns), max_tilt, leftmost)
+
+
+def check_turn_directions(D: BoundaryDecomposition) -> Verdict:
+    """Every switch right->left must turn counterclockwise, left->right clockwise.
+
+    The closing junction at the leftmost corner is exempt: the run
+    sequence starts and ends there, and at a global extreme the curve is
+    locally convex, so that switch always turns counterclockwise.
+    """
+    witnesses = []
+    for t in D.turns:
+        if t.from_dir == t.to_dir or t.corner == D.leftmost_corner:
+            continue
+        ccw = t.angle > 0.0
+        want_ccw = t.from_dir == "R"
+        if ccw != want_ccw:
+            witnesses.append(
+                Witness(
+                    note=(
+                        f"corner {t.corner}: {t.from_dir}->{t.to_dir} turns "
+                        f"{'ccw' if ccw else 'cw'} by {t.angle!r}"
+                    )
+                )
+            )
+    if witnesses:
+        return Verdict(Status.PRECONDITION_FAILURE, tuple(witnesses), {"turn_directions": False})
+    return Verdict(Status.NET, (), {"turn_directions": True})
+
+
+def decomposition_prefixes(B, D: BoundaryDecomposition) -> list:
+    """Open polylines R_1, R_1 L_1 R_2, ... ending at each rightward run.
+
+    Only meaningful when the decomposition starts at segment 0 with a
+    rightward run (the normal situation for an increasing-tree boundary
+    traversed from the minimal corner).
+    """
+    if D.runs[0].segments[0] != 0:
+        raise ValueError("decomposition does not start at segment 0")
+    prefixes = []
+    for k, run in enumerate(D.runs):
+        if run.direction != "R":
+            continue
+        last = run.segments[-1]
+        prefixes.append([B.points[i] for i in range(0, last + 1)] + [B.points[(last + 1) % len(B)]])
+    return prefixes
 
 
 def pairwise_segment_distances(A, B):

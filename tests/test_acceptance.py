@@ -30,12 +30,11 @@ from stretchnet.verify import (
     certify_boundary,
     check_arm_conclusion,
     check_arm_hypotheses,
-    check_turn_directions,
-    decompose_boundary,
-    decomposition_prefixes,
     face_centroids,
     polyline_self_intersections,
 )
+
+import certificate_reference as reference
 
 
 def report(num: int, ok: bool, detail: str):
@@ -202,7 +201,7 @@ def test_criterion_5_isometry_and_conservation(net_suite):
             )
         worst_area = max(worst_area, abs(area2 - area3) / area3)
         blen = sum(
-            math.hypot(*r.boundary.segment_vector(i)) for i in range(len(r.boundary))
+            math.dist(*r.boundary.segment(i)) for i in range(len(r.boundary))
         )
         tlen = 2 * sum(
             float(np.linalg.norm(r.stretched.edge_vector(e))) for e in r.tree.edges
@@ -224,14 +223,14 @@ def test_criterion_6_boundary_structure(net_suite):
     for r in net_suite["records"]:
         if r.verdict.status is not Status.NET:
             continue
-        D = decompose_boundary(r.boundary)
-        if not (D.alternating and D.max_tilt < tilt_bound and check_turn_directions(D).ok):
+        D = reference.decompose_boundary(r.boundary)
+        if not (D.alternating and D.max_tilt < tilt_bound and reference.check_turn_directions(D).ok):
             bad += 1
             continue
         if D.runs[0].segments[0] != 0 or D.runs[0].direction != "R":
             bad += 1
             continue
-        for prefix in decomposition_prefixes(r.boundary, D):
+        for prefix in reference.decomposition_prefixes(r.boundary, D):
             prefixes_checked += 1
             if polyline_self_intersections(prefix, closed=False):
                 bad += 1

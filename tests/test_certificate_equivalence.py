@@ -1,10 +1,12 @@
 """The certificate decides as the exhaustive reference does, without the
 winding grid.
 
-``verify.certify_boundary`` measures only segment pairs with nearby
-bounding boxes, calls any contact overlap, and reads both winding flags
-from the signed area of a contact-free boundary.  ``certificate_reference``
-keeps the all-pairs contact check and the always-on 64 x 64 winding grid.
+``verify.certify_boundary`` checks the boundary's structure in one pass
+without building runs, measures only segment pairs with nearby bounding
+boxes, calls any contact overlap, and reads both winding flags from the
+signed area of a contact-free boundary.  ``certificate_reference`` keeps
+the run decomposition with its alternation test, the all-pairs contact
+check and the always-on 64 x 64 winding grid.
 On every corpus below the status, or the raised exception, is the same;
 the checks other than the two winding flags are equal; and the ordered
 witnesses are the reference's without its ``winding=`` probes, apart
@@ -17,6 +19,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stretchnet import oracle
+from stretchnet.errors import VerticalSegment
+from stretchnet.geometry import EPS
 from stretchnet.mesh import load_off
 from stretchnet.transform import (
     apply_linear,
@@ -146,6 +150,63 @@ def test_near_touching_polylines(points):
     B = synthetic_boundary(points)
     assert_same_certificate(B)
     assert_same_certificate(B, interior_probes=[B.points[0]])
+
+
+# General closed polylines for the structural checks: corners start
+# anywhere within 1e8 (where one ulp is about 15 EPS), or at either zero,
+# and step by up to 1e8 in each direction.  A quarter of the steps in x
+# are within a few EPS, so |dx| falls on both sides of the vertical-segment
+# tolerance, or rounds to 0 at large coordinates.  Every step rises or
+# falls by at least 1e-6, so no segment but the closing one is shorter
+# than EPS.  The full certificates are not compared here: the library's
+# point-to-segment distance rounds by about an ulp of the coordinates,
+# which exceeds EPS from about 5e6, so on such polylines the two contact
+# checks can disagree (for one, on a collinear fold-back at 5e7).
+sign = st.sampled_from([1.0, -1.0])
+coordinate = st.floats(-1e8, 1e8) | st.sampled_from([0.0, -0.0])
+step = st.builds(lambda s, d: s * d, sign, st.floats(1e-6, 1e8))
+near_eps = st.builds(lambda s, d: s * d, sign, st.floats(EPS / 2, 4 * EPS) | st.sampled_from([EPS, 0.0]))
+
+
+@st.composite
+def closed_polylines(draw):
+    points = [(draw(coordinate), draw(coordinate))]
+    for _ in range(draw(st.integers(2, 8))):
+        x, y = points[-1]
+        dx = draw(near_eps) if draw(st.integers(0, 3)) == 0 else draw(step)
+        points.append((x + dx, y + draw(step)))
+    return points
+
+
+STRUCTURAL_KEYS = {"boundary_decomposition", "segment_tilt", "turn_directions"}
+
+
+def structure(result):
+    """The structural checks of a certificate, in order, and the notes of
+    their witnesses; or what the certificate raised."""
+    if isinstance(result, tuple):
+        return result
+    checks = [(k, v) for k, v in result.checks.items() if k in STRUCTURAL_KEYS]
+    notes = [w.note for w in result.witnesses if w.seg_a is None and not (is_grid_probe(w) or is_orientation_note(w))]
+    return checks, notes
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_polylines())
+@example([(0.0, 0.0), (2.0, -0.1), (4.0, 0.05), (4.0 + EPS, 1.0), (2.0, 1.1), (0.4, 0.9)])
+@example([(1e8, 0.0), (1e8 + 2.0**-30, 1.0), (0.0, 0.5)])
+@example([(-0.0, 0.0), (0.0, 1.0), (1.0, 0.5)])
+@example([(0.0, 0.0), (3.0, 0.1), (2.0, -1.0), (-0.5, -1.1)])
+def test_a_closed_polyline_without_vertical_segments_alternates(points):
+    # the deletion argument: every computed dx has the sign of its exact
+    # coordinate difference, so a closed curve with no |dx| <= EPS moves
+    # both ways, and its maximal runs alternate
+    B = synthetic_boundary(points)
+    try:
+        assert reference.decompose_boundary(B).alternating is True
+    except VerticalSegment:
+        pass
+    assert structure(outcome(certify_boundary, B)) == structure(outcome(reference.certify_boundary, B))
 
 
 def test_certificate_never_runs_the_winding_grid(monkeypatch):

@@ -210,8 +210,20 @@ def test_sweep_rows(tmp_path):
         ("census", "--lambda-list", "0"),
         ("census", "--lambda-list", "-1"),
         ("census", "--lambda-list", "1,nan"),
+        ("unfold", "--out", "unused", "--seed", "-1"),
+        ("census", "--seed", "-1"),
+        ("sweep", "--seed", "-1"),
     ],
-    ids=["cap-0", "sweep-k-0", "lambda-0", "lambda-minus-1", "lambda-nan"],
+    ids=[
+        "cap-0",
+        "sweep-k-0",
+        "lambda-0",
+        "lambda-minus-1",
+        "lambda-nan",
+        "unfold-seed-minus-1",
+        "census-seed-minus-1",
+        "sweep-seed-minus-1",
+    ],
 )
 def test_bad_count_or_lambda_exit_2(argv, tetra_off, capsys):
     assert run_cli(*argv, "--input", tetra_off) == 2

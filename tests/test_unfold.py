@@ -152,9 +152,7 @@ def test_boundary_counterclockwise_and_closed(tetra_run):
 
 def test_boundary_length_twice_tree_length(tetra_run):
     B = tetra_run.boundary
-    total = sum(
-        math.hypot(B.segment_vector(i)[0], B.segment_vector(i)[1]) for i in range(len(B))
-    )
+    total = sum(math.dist(*B.segment(i)) for i in range(len(B)))
     Q = tetra_run.stretched
     tree_len = sum(np.linalg.norm(Q.edge_vector(e)) for e in tetra_run.tree.edges)
     assert total == pytest.approx(2 * tree_len, rel=1e-9)
@@ -175,7 +173,8 @@ def test_boundary_segments_almost_horizontal(tetra_run):
 
     B = tetra_run.boundary
     for i in range(len(B)):
-        a = abs(arg(B.segment_vector(i)))
+        (x0, y0), (x1, y1) = B.segment(i)
+        a = abs(arg((x1 - x0, y1 - y0)))
         assert min(a, math.pi - a) < math.pi / 10
 
 

