@@ -77,9 +77,6 @@ def cmd_unfold(args) -> int:
 def cmd_verify(args) -> int:
     try:
         doc = load_layout_json(Path(args.input))
-        parts = (doc.get("faces"), doc.get("boundary"), doc.get("folds", [])) if isinstance(doc, dict) else ()
-        if not parts or not all(isinstance(p, list) for p in parts):
-            raise MalformedLayout("not a layout document")
         check_fold_consistency(doc)
         boundary = rebuild_boundary(doc)
     except CompatibilityFailure as exc:  # a torn layout: the same verdict as a broken development

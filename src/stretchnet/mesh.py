@@ -11,6 +11,9 @@ blocks of faces.  A linear map
 with positive determinant preserves every validated property, so
 ``Polyhedron.transformed`` shares the combinatorics and maps only the
 vertices; vertex-derived data is computed on first use, once per mesh.
+Each face's planar frame is computed once, in one cache
+(``Polyhedron.face_frames``), from stacks of equal-size faces gathered
+straight from the corner arrays.
 
 The corner arrays are the mesh's one half-edge structure.  Corner ``c``
 runs from ``vertex[c]`` to ``vertex[next[c]]`` in face ``face[c]``, at
@@ -25,7 +28,7 @@ import copy
 import itertools
 import warnings
 from functools import cached_property
-from typing import IO, NamedTuple, Optional, Sequence, Union
+from typing import IO, NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -43,7 +46,7 @@ from .geometry import EPS, TWO_PI
 _PLANE_BLOCK = 1 << 18
 
 #: Cached attributes that depend on the vertex coordinates.
-_VERTEX_CACHES = ("corner_angles", "cone_angles", "face_points3d", "face_frames", "face_frame_lists", "edge_vectors")
+_VERTEX_CACHES = ("corner_angles", "cone_angles", "face_frames", "edge_vectors")
 
 
 class Corners(NamedTuple):
@@ -313,25 +316,25 @@ class Polyhedron:
         return np.bincount(self.corners.vertex, weights=self.corner_angles, minlength=len(self.vertices))
 
     @cached_property
-    def face_points3d(self) -> tuple:
-        """Per face, the read-only (k, 3) array of its corner coordinates."""
-        pts = self.vertices[self.corners.vertex]
-        pts.flags.writeable = False
-        return tuple(np.split(pts, self.corners.start[1:]))
-
-    @cached_property
     def face_frames(self) -> tuple:
-        """Per face, its isometric 2D coordinates, read-only.
+        """Per face, its isometric 2D corner coordinates as [x, y] floats.
 
-        ``local_frames`` computes them one stack of equal-size faces at a
-        time, bitwise equal to ``local_coords`` of each face.
+        Faces of one size are gathered from the corner arrays as one
+        (m, k, 3) stack and framed together by ``_frames``: the same
+        elementwise operations, and the same BLAS dot and matrix-vector
+        products per face through stacked ``matmul``, as framing each face
+        alone, so every frame is bitwise the one-face result
+        (``tests/test_unfold.py``).
         """
-        return local_frames(self.face_points3d)
-
-    @cached_property
-    def face_frame_lists(self) -> tuple:
-        """Per face, ``face_frames`` as a list of [x, y] floats."""
-        return tuple(fr.tolist() for fr in self.face_frames)
+        c = self.corners
+        sizes = np.bincount(c.face)
+        frames: list = [None] * len(sizes)
+        for k in np.unique(sizes).tolist():
+            ids = np.flatnonzero(sizes == k)
+            F = _frames(self.vertices[c.vertex[c.start[ids, None] + np.arange(k)]])
+            for f, frame in zip(ids.tolist(), F.tolist()):
+                frames[f] = frame
+        return tuple(frames)
 
     @cached_property
     def edge_vectors(self) -> np.ndarray:
@@ -362,41 +365,14 @@ class Polyhedron:
         return self.vertices[e[1]] - self.vertices[e[0]]
 
 
-
-def local_coords(pts3d: np.ndarray) -> np.ndarray:
-    """Isometric 2D coordinates of a planar face, orientation preserved.
-
-    The basis is chosen right-handed with respect to the outward normal,
-    so a counterclockwise-from-outside cycle stays counterclockwise.
-    """
-    return _frames(np.asarray(pts3d, dtype=float)[None])[0]
-
-
-def local_frames(points3d: Sequence[np.ndarray]) -> tuple:
-    """``local_coords`` of every face of ``points3d``, as read-only views.
-
-    Faces of one size are framed together by ``_frames``, which runs
-    ``local_coords``'s arithmetic on the whole stack: the same
-    elementwise operations, and the same BLAS dot and matrix-vector
-    products per face through stacked ``matmul``.  So every frame is
-    bitwise the one-face result (``tests/test_unfold.py``).
-    """
-    sizes = [len(p) for p in points3d]
-    frames: list = [None] * len(sizes)
-    for k in sorted(set(sizes)):
-        ids = [f for f, n in enumerate(sizes) if n == k]
-        F = _frames(np.stack([points3d[f] for f in ids]))
-        F.flags.writeable = False
-        for f, fr in zip(ids, F):
-            frames[f] = fr
-    return tuple(frames)
-
-
 def _frames(pts: np.ndarray) -> np.ndarray:
-    """``local_coords`` of each face of an (m, k, 3) stack, as an (m, k, 2) array.
+    """Isometric 2D coordinates of each face of an (m, k, 3) stack, as an
+    (m, k, 2) array, orientation preserved.
 
-    The origin is corner 0 and the first axis runs to corner 1.  The
-    normal is u x (corner 2 - origin) unless it is tiny against the next
+    The basis is right-handed with respect to the outward normal, so a
+    counterclockwise-from-outside cycle stays counterclockwise.  The
+    origin is corner 0 and the first axis runs to corner 1.  The normal
+    is u x (corner 2 - origin) unless it is tiny against the next
     corner's offset, in which case that corner is tried instead, and so on.
     """
     rel = pts - pts[:, :1]

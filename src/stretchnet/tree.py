@@ -142,9 +142,10 @@ def build_increasing_tree(
 
 
 def is_increasing(Q: Polyhedron, T: SpanningTree) -> bool:
-    """True iff every tree edge (v, parent) satisfies x(parent) >= x(v)."""
+    """True iff every tree edge (v, parent) satisfies x(parent) > x(v),
+    the strict order ``enumerate_increasing_trees`` enumerates."""
     x = Q.x
-    return all(x[p] >= x[v] for v, p in enumerate(T.parent) if v != T.root)
+    return all(x[p] > x[v] for v, p in enumerate(T.parent) if v != T.root)
 
 
 def enumerate_increasing_trees(Q: Polyhedron) -> Iterator[SpanningTree]:

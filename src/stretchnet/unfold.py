@@ -200,9 +200,9 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     disagree beyond COMPAT_TOL, which signals accumulated numerical
     error or an invalid surface.
 
-    Face frames and the walk plan come from the mesh's caches.  Corners
-    are placed with float arithmetic: faces are too small to repay numpy
-    calls.
+    The face frames (as float lists) and the walk plan come from the
+    mesh's caches.  Corners are placed with float arithmetic: faces are
+    too small to repay numpy calls.
     """
     Q = S.mesh
     plan = Q.plan
@@ -211,14 +211,14 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     cuts = S.is_cut.tolist()
     # by default, the face of the first corner at the root vertex
     root = face[plan.vertex.index(S.root_vertex)] if root_face is None else root_face
-    local = Q.face_frame_lists
+    local = Q.face_frames
 
     face_points: list = [None] * n_faces
 
     def place(f: int, c: float, s: float, tx: float, ty: float):
         face_points[f] = [(c * x - s * y + tx, s * x + c * y + ty) for x, y in local[f]]
 
-    d3 = Q.face_points3d[root][1] - Q.face_points3d[root][0]
+    d3 = Q.vertices[Q.faces[root][1]] - Q.vertices[Q.faces[root][0]]
     target = math.atan2(math.hypot(d3[1], d3[2]), d3[0])
     l0, l1 = local[root][0], local[root][1]
     phi = target - math.atan2(l1[1] - l0[1], l1[0] - l0[0])
@@ -352,11 +352,20 @@ def export_json(L: PlanarLayout, path, meta: Optional[dict] = None) -> None:
 
 def load_layout_json(source: Union[str, os.PathLike, IO]) -> dict:
     """Parse a layout JSON document: a ``str`` is the text itself, a
-    path-like is opened and a file object is read."""
+    path-like is opened and a file object is read.
+
+    Raises MalformedLayout unless the document is an object whose
+    ``faces``, ``boundary`` and (optional) ``folds`` are lists.
+    """
     if isinstance(source, os.PathLike):
         with open(source) as fh:
-            return json.load(fh)
-    return json.loads(source.read() if hasattr(source, "read") else source)
+            doc = json.load(fh)
+    else:
+        doc = json.loads(source.read() if hasattr(source, "read") else source)
+    parts = (doc.get("faces"), doc.get("boundary"), doc.get("folds", [])) if isinstance(doc, dict) else ()
+    if not parts or not all(isinstance(p, list) for p in parts):
+        raise MalformedLayout("not a layout document")
+    return doc
 
 
 def check_fold_consistency(doc: dict) -> None:
@@ -378,7 +387,8 @@ def check_fold_consistency(doc: dict) -> None:
             for (ax, ay), (bx, by) in ((A[pa], B[(pb + 1) % len(B)]), (A[(pa + 1) % len(A)], B[pb])):
                 if not math.hypot(ax - bx, ay - by) <= COMPAT_TOL:  # NaN fails too
                     raise CompatibilityFailure(f"fold edge {rec.get('edge')} disagrees between faces {fa} and {fb}")
-        except (LookupError, TypeError, ValueError) as exc:
+        # an empty face divides by zero; an int too large for a float overflows
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
             raise MalformedLayout(f"malformed fold record {rec!r}") from exc
 
 
@@ -388,7 +398,8 @@ def rebuild_boundary(doc: dict) -> BoundaryCurve:
     Points are recomputed from the face polygons at each record's stored
     face and pos, so tampering with a face shows up as a torn
     or mismatched boundary (CompatibilityFailure) or as an overlap.  An
-    empty boundary or a record unlike ``layout_to_json``'s raises MalformedLayout.
+    empty boundary, a record unlike ``layout_to_json``'s or a corner
+    coordinate too large for a float raises MalformedLayout.
     """
     faces, records = doc["faces"], []
     for rec in doc["boundary"]:
@@ -409,7 +420,10 @@ def rebuild_boundary(doc: dict) -> BoundaryCurve:
         raise MalformedLayout("layout has an empty boundary")
     if sorted(r[2] for r in records) != list(range(len(records))):
         raise CompatibilityFailure("dual indices are not a permutation of the segments")
-    curve = _assemble_boundary(faces, records)
+    try:
+        curve = _assemble_boundary(faces, records)
+    except OverflowError as exc:  # an int coordinate too large for a float
+        raise MalformedLayout(f"malformed boundary corner: {exc}") from exc
     for i, j in enumerate(curve.duals):
         la, lb = math.dist(*curve.segment(i)), math.dist(*curve.segment(j))
         if abs(la - lb) > COMPAT_TOL:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, VerticalSegment
+from .errors import DegenerateSegment, LengthMismatch, VerticalSegment
 from .geometry import (
     EPS,
     TILT_BOUND,
@@ -282,9 +282,13 @@ def certify_boundary(B: BoundaryCurve, interior_probes: Iterable = ()) -> Verdic
     """Run the full check stack on a boundary polyline.
 
     A segment contact makes the verdict overlap, without winding flags.
-    Otherwise ``winding_in_0_1`` and ``ccw_orientation`` are both
-    ``signed area > 0``, a clockwise boundary gets one witness naming its
-    area, and all checks must pass for a net.  A corner with a non-finite
+    A segment no longer than EPS (which also fails the decomposition)
+    leaves the contact check undecided: the verdict is a precondition
+    failure with a witness naming that segment, and without
+    ``self_intersection`` or winding flags.  Otherwise ``winding_in_0_1``
+    and ``ccw_orientation`` are both ``signed area > 0``, a clockwise
+    boundary gets one witness naming its area, and all checks must pass
+    for a net.  A corner with a non-finite
     coordinate is a precondition failure before any check: every
     comparison with NaN is false, so no check could fail on it.
     ``interior_probes`` is accepted and ignored, because the benchmark
@@ -312,7 +316,11 @@ def certify_boundary(B: BoundaryCurve, interior_probes: Iterable = ()) -> Verdic
             switch = "R->L turns cw" if before == "R" else "L->R turns ccw"
             witnesses.append(Witness(note=f"corner {corner}: {switch} by {angle!r}"))
 
-    self_int = check_self_intersection(B)
+    try:
+        self_int = check_self_intersection(B)
+    except DegenerateSegment as exc:
+        witnesses.append(Witness(note=str(exc)))
+        return Verdict(Status.PRECONDITION_FAILURE, tuple(witnesses), checks)
     checks.update(self_int.checks)
     witnesses.extend(self_int.witnesses)
     if not self_int.ok:

@@ -7,9 +7,9 @@ checks in the same order and returns the accepted mesh's data instead of
 a Polyhedron, so ``tests/test_mesh_equivalence.py`` can compare the two
 on every input.
 
-``local_coords`` is the one-face frame that ``Polyhedron.face_frames``
-used to call for every face; ``tests/test_unfold.py`` checks the stacked
-frames against it bitwise.
+``face_points3d`` lists each face's corner coordinates and
+``local_coords`` frames one face at a time; ``tests/test_unfold.py``
+checks the stacked ``Polyhedron.face_frames`` against them bitwise.
 """
 
 from __future__ import annotations
@@ -206,6 +206,11 @@ def face_is_convex(pts: np.ndarray, normal: np.ndarray, tol: float) -> bool:
         if float(np.cross(u, w) @ normal) < -tol:
             return False
     return True
+
+
+def face_points3d(P) -> list:
+    """Per face of the Polyhedron ``P``, the (k, 3) array of its corner coordinates."""
+    return [P.vertices[list(f)] for f in P.faces]
 
 
 def local_coords(pts3d: np.ndarray) -> np.ndarray:

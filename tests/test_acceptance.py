@@ -35,6 +35,7 @@ from stretchnet.verify import (
 )
 
 import certificate_reference as reference
+from mesh_reference import face_points3d
 
 
 def report(num: int, ok: bool, detail: str):
@@ -170,7 +171,7 @@ def test_criterion_5_isometry_and_conservation(net_suite):
     worst_len = worst_ang = worst_area = worst_bnd = 0.0
     for r in net_suite["records"]:
         area3 = area2 = 0.0
-        for pts3, pts2 in zip(r.layout.surface.mesh.face_points3d, r.layout.face_points):
+        for pts3, pts2 in zip(face_points3d(r.layout.surface.mesh), r.layout.face_points):
             k = len(pts2)
             for i in range(k):
                 u3 = pts3[(i + 1) % k] - pts3[i]

@@ -1,10 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import stretchnet
 from stretchnet import shapes
@@ -142,6 +147,14 @@ def _corner_of_first_segment(doc, value):
     doc["faces"][rec["face"]][rec["pos"]] = value(x, y)
 
 
+def _corner_no_fold_reads(doc, value):
+    faces = doc["faces"]
+    read = {(f, (p + k) % len(faces[f])) for r in doc["folds"] for f, p in (r["a"], r["b"]) for k in (0, 1)}
+    rec = next(r for r in doc["boundary"] if (r["face"], r["pos"]) not in read)
+    x, y = faces[rec["face"]][rec["pos"]]
+    faces[rec["face"]][rec["pos"]] = value(x, y)
+
+
 MALFORMED = {
     "fold-face-99": lambda doc: doc["folds"][0]["a"].__setitem__(0, 99),
     "three-number-corner": lambda doc: _corner_of_first_segment(doc, lambda x, y: [x, y, 0.0]),
@@ -151,6 +164,9 @@ MALFORMED = {
     "empty-boundary": lambda doc: doc.__setitem__("boundary", []),
     "negative-face": lambda doc: doc["boundary"][0].__setitem__("face", -1),
     "negative-pos": lambda doc: doc["boundary"][0].__setitem__("pos", -1),
+    "fold-face-b-empty": lambda doc: doc["faces"].__setitem__(doc["folds"][0]["b"][0], []),
+    "huge-int-fold-corner": lambda doc: _corner_of_first_segment(doc, lambda x, y: [10**400, y]),
+    "huge-int-boundary-corner": lambda doc: _corner_no_fold_reads(doc, lambda x, y: [10**400, y]),
 }
 
 
@@ -278,3 +294,85 @@ def test_console_entry_point(tetra_off, tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "net"
+
+
+# -- verify on mutated documents ---------------------------------------------
+
+
+def cube_layout() -> dict:
+    """The document ``unfold --format json`` writes for ``data/cube.off``."""
+    run = stretch_and_unfold(load_off((DATA / "cube.off").read_text()))
+    meta = {"lambda": run.stretch.lam, "theta_max": run.stretch.theta_max, "seed": 0}
+    return json.loads(layout_to_json(run.layout, meta))
+
+
+CUBE_LAYOUT = cube_layout()
+
+
+def _nodes(node, path=()):
+    """``(path, node)`` for the document and everything in it, depth first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_layouts(draw):
+    """The cube's layout after 1 to 3 mutations: a leaf replaced by an
+    unfit value, a face emptied, a corner repeated or a key dropped."""
+    doc = copy.deepcopy(CUBE_LAYOUT)
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        faces = doc.get("faces") if isinstance(doc.get("faces"), list) else []
+        kind = draw(st.sampled_from(["leaf", "empty-face", "repeat-corner", "drop-key"]))
+        if kind == "leaf":
+            leaves = [p for p, node in nodes if p and not isinstance(node, (dict, list))]
+            if leaves:
+                path = draw(st.sampled_from(leaves))
+                _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from([-1, 10**400, math.nan, "x", [], None, True]))
+        elif kind == "empty-face" and faces:
+            faces[draw(st.integers(0, len(faces) - 1))] = []
+        elif kind == "repeat-corner":
+            corners = [(f, p) for f, face in enumerate(faces) if isinstance(face, list) for p in range(len(face))]
+            if corners:
+                f, p = draw(st.sampled_from(corners))
+                faces[f].insert(p, copy.deepcopy(faces[f][p]))
+        elif kind == "drop-key":
+            keys = [(p, key) for p, node in nodes if isinstance(node, dict) for key in node]
+            if keys:
+                path, key = draw(st.sampled_from(keys))
+                del _at(doc, path)[key]
+    return doc
+
+
+def _with(change):
+    doc = copy.deepcopy(CUBE_LAYOUT)
+    change(doc)
+    return doc
+
+
+# one face whose corners 1 and 2 coincide, every cut edge its own dual
+ZERO_LENGTH_SEGMENT = {
+    "faces": [[[0, 0], [1, 0.1], [1, 0.1], [2, 0], [1, -0.2]]],
+    "boundary": [{"face": 0, "pos": i, "tail": i, "head": (i + 1) % 5, "edge": [i, i + 1], "dual": i} for i in range(5)],
+    "folds": [],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_layouts())
+@example(ZERO_LENGTH_SEGMENT)
+@example(_with(MALFORMED["fold-face-b-empty"]))
+@example(_with(MALFORMED["huge-int-boundary-corner"]))
+def test_verify_never_raises(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "mutated-layout.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["verify", "--input", str(path)]) in (0, 1, 2)

@@ -19,7 +19,7 @@ from stretchnet import shapes
 from stretchnet.mesh import Polyhedron, _cross3
 from stretchnet.transform import choose_rotation
 
-from mesh_reference import reference_build
+from mesh_reference import face_points3d, local_coords, reference_build
 from test_mesh import CUBE_OFF
 
 
@@ -210,21 +210,20 @@ def test_transformed_equals_rebuild(name, M):
         return
     assert_same_mesh(Q, rebuilt)
     np.testing.assert_array_equal(Q.corners.twin, rebuilt.corners.twin)
-    for a, b in zip(Q.face_points3d, rebuilt.face_points3d):
-        np.testing.assert_array_equal(a, b)
+    assert Q.face_frames == rebuilt.face_frames
 
 
 def test_transformed_shares_combinatorics_and_drops_vertex_caches():
     P = shapes.cube()
-    before = (P.cone_angles, P.face_points3d, P.face_frames, P.face_frame_lists, P.edge_vectors)
+    before = (P.cone_angles, P.face_frames, P.edge_vectors)
     plan = P.plan
     Q = P.transformed(np.array([[3.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     for attr in ("faces", "edges", "edge_faces", "adjacency", "corners", "edge_ends", "plan"):
         assert getattr(Q, attr) is getattr(P, attr)
     assert Q.corners.twin is P.corners.twin
-    assert all(a is b for a, b in zip((P.cone_angles, P.face_points3d, P.face_frames, P.face_frame_lists, P.edge_vectors), before))
-    assert "face_frame_lists" not in vars(Q)
-    assert list(Q.face_frame_lists) == [fr.tolist() for fr in Q.face_frames] != list(P.face_frame_lists)
+    assert all(a is b for a, b in zip((P.cone_angles, P.face_frames, P.edge_vectors), before))
+    assert "face_frames" not in vars(Q)
+    assert Q.face_frames != P.face_frames
     with pytest.raises(AttributeError):
         plan.twin = ()
     with pytest.raises(TypeError):
@@ -235,8 +234,8 @@ def test_transformed_shares_combinatorics_and_drops_vertex_caches():
     assert not Q.edge_vectors.flags.writeable
     assert not np.allclose(Q.cone_angles, P.cone_angles)
     assert math.isclose(Q.cone_angles.sum(), 2 * math.pi * 8 - 4 * math.pi)  # Gauss-Bonnet
-    np.testing.assert_array_equal(Q.face_points3d[0], Q.vertices[list(Q.faces[0])])
-    assert not Q.face_points3d[0].flags.writeable
+    for frame, pts in zip(Q.face_frames, face_points3d(Q)):
+        assert np.asarray(frame).tobytes() == local_coords(pts).tobytes()
 
 
 @pytest.mark.parametrize("make", [shapes.cube, shapes.dodecahedron, lambda: shapes.random_hull(60, 1)], ids=["cube", "dodecahedron", "hull-60"])

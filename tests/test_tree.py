@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stretchnet import shapes
+from stretchnet import oracle, shapes
 from stretchnet.errors import NoRightwardEdge, NotSpanningTree
 from stretchnet.transform import apply_stretch, plan_stretch
 from stretchnet.tree import (
@@ -172,10 +172,25 @@ def test_is_increasing_classifies_all_16(stretched_tetra):
     xs = stretched_tetra.x
     count = 0
     for T in enumerate_spanning_trees(stretched_tetra):
-        expected = all(xs[T.parent[v]] >= xs[v] for v in range(4) if v != T.root)
+        expected = all(xs[T.parent[v]] > xs[v] for v in range(4) if v != T.root)
         assert is_increasing(stretched_tetra, T) == expected
         count += expected
     assert count == sum(1 for _ in enumerate_increasing_trees(stretched_tetra))
+
+
+@pytest.mark.parametrize("make, flagged", [(shapes.cube, 0), (shapes.octahedron, 4)], ids=["cube", "octahedron"])
+def test_census_flags_only_strictly_increasing_trees(make, flagged):
+    # unrotated at lambda 1, the cube and octahedron have vertices tied in
+    # x: only trees whose every parent lies strictly right are increasing
+    P = make()
+    rows = oracle.census(P, (1.0,), rotate_first=False)
+    assert len(rows) == 384
+    assert sum(r.increasing for r in rows) == flagged
+    if flagged:
+        assert flagged == sum(1 for _ in enumerate_increasing_trees(P))
+    else:
+        with pytest.raises(NoRightwardEdge):
+            next(enumerate_increasing_trees(P))
 
 
 def test_increasing_count_is_rightward_product(stretched_tetra):

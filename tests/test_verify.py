@@ -395,6 +395,18 @@ def test_certify_non_finite_corner_is_precondition_failure(value):
     assert verdict.witnesses[0].note.startswith("corner 2 has a non-finite coordinate")
 
 
+def test_certify_zero_length_segment_is_precondition_failure():
+    # a repeated corner is a segment no longer than EPS: the contact check
+    # cannot measure it, so the verdict is reached without that check
+    verdict = certify_boundary(synthetic_boundary([(0, 0), (1, 0.1), (1, 0.1), (2, 0), (1, -0.2)]))
+    assert verdict.status is Status.PRECONDITION_FAILURE
+    assert verdict.checks == {"boundary_decomposition": False}
+    assert [w.note for w in verdict.witnesses] == [
+        "segment 1 has |dx| = 0.000e+00",
+        "segment (1.0, 0.1)-(1.0, 0.1) has near-zero length",
+    ]
+
+
 def test_certify_net_statuses(tetra):
     run = stretch_and_unfold(tetra)
     verdict = certify_net(run.layout)
