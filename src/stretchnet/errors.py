@@ -13,10 +13,6 @@ class DegenerateSegment(UnfoldError):
     """A segment with (near-)coincident endpoints was passed to a predicate."""
 
 
-class PointOnBoundary(UnfoldError):
-    """Winding number queried at a point lying on the curve."""
-
-
 class OffParseError(UnfoldError):
     """Malformed OFF input. Carries the 1-based line number."""
 

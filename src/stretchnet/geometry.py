@@ -1,9 +1,10 @@
 """Angle arithmetic and tolerant 2D predicates.
 
 Each contact and winding predicate is written once, as an array kernel
-over segment pairs or sample points; the certificate, the arm oracle and
-the scalar functions here all call the same kernels, which hold x and y
-in separate arrays (on tiny arrays a numpy call costs far more than its
+over segment pairs or sample points, and has no scalar form: contacts are
+asked of segment_pair_contacts and require_segment_lengths, windings of
+winding_numbers and curve_distances.  The kernels hold x and y in
+separate arrays (on tiny arrays a numpy call costs far more than its
 arithmetic, so each operation is one call for all rows).  A single absolute
 tolerance ``EPS`` governs collinearity, point-on-segment and
 point-on-curve decisions.  Meshes are rescaled to unit bounding-box
@@ -18,12 +19,11 @@ All functions here are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDirection, DegenerateSegment, PointOnBoundary
+from .errors import DegenerateDirection, DegenerateSegment
 
 Vec2 = Sequence[float]
 
@@ -36,13 +36,6 @@ EPS = 1e-9
 TILT_BOUND = math.pi / 10.0
 
 TWO_PI = 2.0 * math.pi
-
-
-class EndpointPolicy(Enum):
-    """How segment intersection treats a shared endpoint."""
-
-    INCLUDE = "include"
-    EXCLUDE_SHARED_ENDPOINT = "exclude_shared_endpoint"
 
 
 def normalize_angle(a: float) -> float:
@@ -196,37 +189,6 @@ def curve_distances(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return d
 
 
-# -- scalar wrappers ---------------------------------------------------------
-
-_ONE_PAIR = (np.array([0]), np.array([1]))
-
-
-def segment_distance(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> float:
-    """Minimum distance between two closed segments (0 when they cross)."""
-    A, B = np.array([p1, q1], dtype=float), np.array([p2, q2], dtype=float)
-    return float(segment_pair_contacts(A, B, *_ONE_PAIR)[0][0])
-
-
-def segments_intersect(
-    p1: Vec2,
-    p2: Vec2,
-    q1: Vec2,
-    q2: Vec2,
-    policy: EndpointPolicy = EndpointPolicy.INCLUDE,
-) -> bool:
-    """Whether two closed segments meet, within EPS.
-
-    Contacts within EPS count as intersections (conservative).  Under
-    EXCLUDE_SHARED_ENDPOINT a single shared endpoint is forgiven: the
-    segments intersect only if they also touch away from that endpoint
-    (e.g. a collinear doubling-back).
-    """
-    A, B = np.array([p1, q1], dtype=float), np.array([p2, q2], dtype=float)
-    require_segment_lengths(A, B, np.arange(2))
-    exclude = policy is EndpointPolicy.EXCLUDE_SHARED_ENDPOINT
-    return bool(segment_pair_contacts(A, B, *_ONE_PAIR, exclude)[2][0])
-
-
 def crossing_point(
     p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2, proper: bool
 ) -> tuple[tuple[float, float], float]:
@@ -267,23 +229,3 @@ def crossing_point(
         if best is None or d < best[0]:
             best = (d, ((q[0] + cp[0]) / 2.0, (q[1] + cp[1]) / 2.0), tq)
     return best[1], best[2]
-
-
-def winding_number(polyline: Sequence[Vec2], p: Vec2) -> int:
-    """Winding number of a closed polyline around ``p``.
-
-    A last point within EPS of the first closes the curve and is dropped.
-    Raises PointOnBoundary when ``p`` is within EPS of the curve, where
-    the winding number is undefined, and ValueError for fewer than three
-    distinct points.  See winding_numbers for the crossing rule.
-    """
-    pts = np.array([(float(q[0]), float(q[1])) for q in polyline]).reshape(-1, 2)
-    if len(pts) >= 2 and math.hypot(*(pts[0] - pts[-1])) <= EPS:
-        pts = pts[:-1]
-    if len(pts) < 3:
-        raise ValueError("closed polyline needs at least 3 distinct points")
-    px, py = float(p[0]), float(p[1])
-    sample = np.array([[px, py]])
-    if curve_distances(pts, sample)[0] <= EPS:
-        raise PointOnBoundary(f"point {(px, py)} lies on the curve")
-    return int(winding_numbers(pts, sample)[0])

@@ -15,12 +15,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import shapes
+from .errors import CompatibilityFailure
 from .geometry import EPS, curve_distances, winding_numbers
 from .mesh import Polyhedron
 from .transform import apply_linear, choose_rotation, default_theta_max, required_lambda, rotate
 from .tree import SpanningTree, enumerate_spanning_trees, is_increasing, vertex_order
 from .unfold import boundary_curve, cut, develop
-from .verdict import Status, Verdict
+from .verdict import Status, Verdict, inconsistent_layout
 from .verify import certify_net, face_centroids
 
 
@@ -51,7 +52,9 @@ def census(
     A cut depends only on the corners and on ``vertex_order``, which two
     lambdas can round differently at a near-tie in x.  So the trees are
     rooted and cut once per vertex order, and each lambda develops those
-    surfaces on its own mesh.
+    surfaces on its own mesh.  A development whose placements disagree
+    (``CompatibilityFailure``) is a ``precondition_failure`` row with that
+    failure as its one witness, as ``stretch_and_unfold`` reports it.
     """
     theta = default_theta_max(P) if theta_max is None else float(theta_max)
     R = choose_rotation(P, seed=seed) if rotate_first else np.eye(3)
@@ -67,8 +70,10 @@ def census(
         if key not in surfaces:
             surfaces[key] = [cut(Q, T) for T in enumerate_spanning_trees(Q, cap=cap)]
         for tid, S in enumerate(surfaces[key]):
-            layout = develop(S if S.mesh is Q else replace(S, mesh=Q))
-            verdict = certify_net(layout)
+            try:
+                verdict = certify_net(develop(S if S.mesh is Q else replace(S, mesh=Q)))
+            except CompatibilityFailure as exc:
+                verdict = inconsistent_layout(exc)
             rows.append(
                 CensusRow(tid, is_increasing(Q, S.tree), verdict.status, len(verdict.witnesses), lam)
             )
@@ -149,9 +154,10 @@ def find_overlap_tetrahedron(
     over ``n_shapes`` samples; each of the 16 spanning trees is unfolded
     at the given lambda (default 1: no stretching) and certified.
     Returns the first overlap found, demonstrating that stretching does
-    real work.  With ``require_covered_centroid`` the search continues
-    until the doubly covered region contains some face centroid (winding
-    number 2 at that probe).
+    real work; a tree whose development tears is skipped.  With
+    ``require_covered_centroid`` the search continues until the doubly
+    covered region contains some face centroid (winding number 2 at that
+    probe).
     """
     pulls = np.geomspace(0.02, 40.0, n_shapes)
     for pull in pulls:
@@ -159,8 +165,11 @@ def find_overlap_tetrahedron(
         if lam != 1.0:
             P = apply_linear(P, np.eye(3), lam)
         for tid, T in enumerate(enumerate_spanning_trees(P, cap=16)):
-            layout = develop(cut(P, T))
-            verdict = certify_net(layout)
+            try:
+                layout = develop(cut(P, T))
+                verdict = certify_net(layout)
+            except CompatibilityFailure:  # a torn development is not an overlap
+                continue
             if verdict.status is not Status.OVERLAP:
                 continue
             if require_covered_centroid and not _covers_a_centroid(layout):

@@ -42,7 +42,7 @@ class Stretch:
             raise ValueError("rotation must be a 3x3 matrix")
         if np.abs(R @ R.T - np.eye(3)).max() > 1e-9 or abs(np.linalg.det(R) - 1.0) > 1e-9:
             raise ValueError("rotation must be orthogonal with determinant 1")
-        if self.lam < 1.0:
+        if not self.lam >= 1.0:  # NaN fails too
             raise ValueError("lambda must be >= 1")
         if not (0.0 < self.theta_max < math.pi / 2.0):
             raise ValueError("theta_max must lie in (0, pi/2)")

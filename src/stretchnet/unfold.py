@@ -368,6 +368,27 @@ def load_layout_json(source: Union[str, os.PathLike, IO]) -> dict:
     return doc
 
 
+#: What reading a record unlike ``layout_to_json``'s can raise.
+_MALFORMED = (ArithmeticError, LookupError, TypeError, ValueError)
+
+
+def _stored_edge(faces: list, f, pos, *indices) -> tuple:
+    """Corners ``pos`` and ``pos + 1`` (cyclically) of stored face ``f``,
+    as float pairs, where ``f``, ``pos`` and the record's other
+    ``indices`` are non-negative ints and both corners pairs of ints or
+    floats, as ``layout_to_json`` writes them (a bool is neither: JSON's
+    ``true`` would read as 1).  Anything else raises one of _MALFORMED.
+    """
+    for i in (f, pos, *indices):
+        if type(i) is not int or i < 0:  # a negative index would read from the end of a list
+            raise ValueError(f"{i!r} is not an index")
+    face = faces[f]
+    (x, y), (hx, hy) = face[pos], face[(pos + 1) % len(face)]
+    if not {type(x), type(y), type(hx), type(hy)} <= {int, float}:
+        raise ValueError("a corner is not a pair of numbers")
+    return (float(x), float(y)), (float(hx), float(hy))
+
+
 def check_fold_consistency(doc: dict) -> None:
     """Check that both faces of every stored fold edge agree on its image.
 
@@ -380,16 +401,13 @@ def check_fold_consistency(doc: dict) -> None:
     faces = doc["faces"]
     for rec in doc.get("folds", ()):
         try:
-            (fa, pa), (fb, pb) = rec["a"], rec["b"]
-            if min(fa, pa, fb, pb) < 0:  # not read from the end of a list
-                raise IndexError(min(fa, pa, fb, pb))
-            A, B = faces[fa], faces[fb]
-            for (ax, ay), (bx, by) in ((A[pa], B[(pb + 1) % len(B)]), (A[(pa + 1) % len(A)], B[pb])):
-                if not math.hypot(ax - bx, ay - by) <= COMPAT_TOL:  # NaN fails too
-                    raise CompatibilityFailure(f"fold edge {rec.get('edge')} disagrees between faces {fa} and {fb}")
-        # an empty face divides by zero; an int too large for a float overflows
-        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            (fa, pa), (fb, pb), (u, v) = rec["a"], rec["b"], rec["edge"]
+            (a0, a1), (b0, b1) = _stored_edge(faces, fa, pa, u, v), _stored_edge(faces, fb, pb)
+        except _MALFORMED as exc:
             raise MalformedLayout(f"malformed fold record {rec!r}") from exc
+        for (ax, ay), (bx, by) in ((a0, b1), (a1, b0)):
+            if not math.hypot(ax - bx, ay - by) <= COMPAT_TOL:  # NaN fails too
+                raise CompatibilityFailure(f"fold edge {rec['edge']} disagrees between faces {fa} and {fb}")
 
 
 def rebuild_boundary(doc: dict) -> BoundaryCurve:
@@ -398,32 +416,22 @@ def rebuild_boundary(doc: dict) -> BoundaryCurve:
     Points are recomputed from the face polygons at each record's stored
     face and pos, so tampering with a face shows up as a torn
     or mismatched boundary (CompatibilityFailure) or as an overlap.  An
-    empty boundary, a record unlike ``layout_to_json``'s or a corner
-    coordinate too large for a float raises MalformedLayout.
+    empty boundary or a record or corner unlike ``layout_to_json``'s
+    raises MalformedLayout.
     """
     faces, records = doc["faces"], []
     for rec in doc["boundary"]:
         try:
-            f, pos, tail, (u, v), dual = rec["face"], rec["pos"], rec["tail"], rec["edge"], rec["dual"]
-            face = faces[f]
-            (x, y), (hx, hy) = face[pos], face[(pos + 1) % len(face)]
-        except (LookupError, TypeError, ValueError) as exc:
+            f, pos, (u, v), dual = rec["face"], rec["pos"], rec["edge"], rec["dual"]
+            _stored_edge(faces, f, pos, rec["tail"], rec["head"], u, v, dual)
+        except _MALFORMED as exc:
             raise MalformedLayout(f"malformed boundary record {rec!r}") from exc
-        if not (
-            type(f) is type(pos) is type(tail) is type(u) is type(v) is type(dual) is int
-            and f >= 0 <= pos  # not read from the end of a list
-            and {type(x), type(y), type(hx), type(hy)} <= {int, float}
-        ):
-            raise MalformedLayout(f"malformed boundary record {rec!r}")
         records.append((f, pos, dual))
     if not records:
         raise MalformedLayout("layout has an empty boundary")
     if sorted(r[2] for r in records) != list(range(len(records))):
         raise CompatibilityFailure("dual indices are not a permutation of the segments")
-    try:
-        curve = _assemble_boundary(faces, records)
-    except OverflowError as exc:  # an int coordinate too large for a float
-        raise MalformedLayout(f"malformed boundary corner: {exc}") from exc
+    curve = _assemble_boundary(faces, records)
     for i, j in enumerate(curve.duals):
         la, lb = math.dist(*curve.segment(i)), math.dist(*curve.segment(j))
         if abs(la - lb) > COMPAT_TOL:

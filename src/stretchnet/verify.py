@@ -334,11 +334,9 @@ def certify_boundary(B: BoundaryCurve, interior_probes: Iterable = ()) -> Verdic
     return Verdict(status, tuple(witnesses), checks)
 
 
-def face_centroids(faces) -> list:
-    """Corner mean of each face: ``faces`` is a layout or its face point lists."""
-    if isinstance(faces, PlanarLayout):
-        faces = faces.face_points
-    return [(sum(x for x, _ in pts) / len(pts), sum(y for _, y in pts) / len(pts)) for pts in faces]
+def face_centroids(L: PlanarLayout) -> list:
+    """Corner mean of each face of the layout, as (x, y) tuples."""
+    return [(sum(x for x, _ in pts) / len(pts), sum(y for _, y in pts) / len(pts)) for pts in L.face_points]
 
 
 def certify_net(L: PlanarLayout) -> Verdict:

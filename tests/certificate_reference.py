@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from stretchnet.errors import VerticalSegment
-from stretchnet.geometry import EPS, TILT_BOUND, EndpointPolicy, arg, normalize_angle
+from stretchnet.geometry import EPS, TILT_BOUND, arg, normalize_angle
 from stretchnet.verdict import Status, Verdict, Witness
 
-from geometry_reference import _distance_mask, _winding_grid, crossing_point, segments_intersect
+from geometry_reference import EndpointPolicy, _distance_mask, _winding_grid, crossing_point, segments_intersect
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,32 @@ arrays whose last axis holds x and y.
 
 ``tests/test_geometry_equivalence.py`` compares the library with these
 functions, and ``certificate_reference`` builds its dense certificate on
-them, so neither reference depends on the kernels under test.
+them, so neither reference depends on the kernels under test.  The
+endpoint policy and the on-curve error are defined here too: the library
+decides both through kernel arguments and results, not through types.
 """
 
 from __future__ import annotations
 
 import math
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from stretchnet.errors import DegenerateSegment, LengthMismatch, PointOnBoundary
-from stretchnet.geometry import EPS, EndpointPolicy, Vec2, arg, orient_raw
+from stretchnet.errors import DegenerateSegment, LengthMismatch, UnfoldError
+from stretchnet.geometry import EPS, Vec2, arg, orient_raw
+
+
+class EndpointPolicy(Enum):
+    """How segment intersection treats a shared endpoint."""
+
+    INCLUDE = "include"
+    EXCLUDE_SHARED_ENDPOINT = "exclude_shared_endpoint"
+
+
+class PointOnBoundary(UnfoldError):
+    """Winding number queried at a point lying on the curve."""
 
 
 def point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
@@ -222,7 +236,7 @@ def _winding_grid(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Winding numbers of a closed polyline around many sample points.
 
     Vectorized version of the half-open crossing rule used by
-    geometry.winding_number; both must agree segment for segment.
+    winding_number; both must agree segment for segment.
     """
     w = np.zeros(len(samples), dtype=int)
     px, py = samples[:, 0], samples[:, 1]

@@ -13,8 +13,7 @@ import pytest
 
 from stretchnet import shapes
 from stretchnet.cli import main as cli_main
-from stretchnet.errors import PointOnBoundary
-from stretchnet.geometry import winding_number
+from stretchnet.geometry import EPS, curve_distances, winding_numbers
 from stretchnet.mesh import Polyhedron, export_off
 from stretchnet.oracle import find_overlap_tetrahedron, matrix_tree_count
 from stretchnet.transform import apply_stretch, plan_stretch
@@ -152,13 +151,10 @@ def test_criterion_4_winding_consistency(net_suite):
     ex = find_overlap_tetrahedron(require_covered_centroid=True)
     double = 0
     if ex is not None:
-        B = boundary_curve(ex.layout)
-        for c in face_centroids(ex.layout):
-            try:
-                if winding_number(B.points, c) == 2:
-                    double += 1
-            except PointOnBoundary:
-                pass
+        P = np.asarray(boundary_curve(ex.layout).points, dtype=float)
+        C = np.asarray(face_centroids(ex.layout), dtype=float)
+        off = curve_distances(P, C) > EPS
+        double = int((winding_numbers(P, C)[off] == 2).sum())
     report(
         4,
         nets_checked >= 100 and double >= 1,

@@ -147,6 +147,12 @@ def _corner_of_first_segment(doc, value):
     doc["faces"][rec["face"]][rec["pos"]] = value(x, y)
 
 
+def _corner_of_first_fold(doc, value):
+    f, p = doc["folds"][0]["a"]
+    x, y = doc["faces"][f][p]
+    doc["faces"][f][p] = value(x, y)
+
+
 def _corner_no_fold_reads(doc, value):
     faces = doc["faces"]
     read = {(f, (p + k) % len(faces[f])) for r in doc["folds"] for f, p in (r["a"], r["b"]) for k in (0, 1)}
@@ -167,6 +173,11 @@ MALFORMED = {
     "fold-face-b-empty": lambda doc: doc["faces"].__setitem__(doc["folds"][0]["b"][0], []),
     "huge-int-fold-corner": lambda doc: _corner_of_first_segment(doc, lambda x, y: [10**400, y]),
     "huge-int-boundary-corner": lambda doc: _corner_no_fold_reads(doc, lambda x, y: [10**400, y]),
+    # JSON's true would read as 1 where an index or a coordinate is expected
+    "true-fold-face": lambda doc: doc["folds"][0]["b"].__setitem__(0, True),
+    "true-fold-corner": lambda doc: _corner_of_first_fold(doc, lambda x, y: [True, y]),
+    "true-boundary-head": lambda doc: doc["boundary"][0].__setitem__("head", True),
+    "string-fold-edge": lambda doc: doc["folds"][0]["edge"].__setitem__(0, "x"),
 }
 
 
@@ -371,6 +382,8 @@ ZERO_LENGTH_SEGMENT = {
 @example(ZERO_LENGTH_SEGMENT)
 @example(_with(MALFORMED["fold-face-b-empty"]))
 @example(_with(MALFORMED["huge-int-boundary-corner"]))
+@example(_with(MALFORMED["true-fold-face"]))
+@example(_with(MALFORMED["true-fold-corner"]))
 def test_verify_never_raises(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "mutated-layout.json"
     path.write_text(json.dumps(doc))

@@ -91,13 +91,24 @@ def test_overlap_search_finds_witness():
 def test_overlap_search_covered_centroid():
     ex = find_overlap_tetrahedron(require_covered_centroid=True)
     assert ex is not None
-    from stretchnet.geometry import winding_number
+    from stretchnet.geometry import EPS, curve_distances, winding_numbers
     from stretchnet.unfold import boundary_curve
     from stretchnet.verify import face_centroids
 
-    B = boundary_curve(ex.layout)
-    windings = [winding_number(B.points, c) for c in face_centroids(ex.layout)]
-    assert max(windings) >= 2
+    P = np.asarray(boundary_curve(ex.layout).points, dtype=float)
+    C = np.asarray(face_centroids(ex.layout), dtype=float)
+    assert (curve_distances(P, C) > EPS).all()
+    assert winding_numbers(P, C).max() >= 2
+
+
+def test_torn_development_is_a_census_row_not_a_crash(cube):
+    # at lambda 1e11 the cube's fold edges disagree by more than
+    # COMPAT_TOL: every row is a precondition failure with one witness
+    rows = census(cube, lambdas=(1e11,), cap=3)
+    assert [(r.verdict, r.witnesses) for r in rows] == [(Status.PRECONDITION_FAILURE, 1)] * 3
+    # the overlap search skips torn trees and still finds an overlap
+    ex = find_overlap_tetrahedron(n_shapes=3, lam=1e12)
+    assert ex is not None and ex.verdict.status is Status.OVERLAP
 
 
 def overlap_share(rows, lam):

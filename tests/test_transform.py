@@ -94,6 +94,8 @@ def test_stretch_validation():
     with pytest.raises(ValueError):
         Stretch(np.eye(3), 0.5, 0.1)
     with pytest.raises(ValueError):
+        Stretch(np.eye(3), float("nan"), 0.01)
+    with pytest.raises(ValueError):
         Stretch(np.eye(3), 1.0, 3.0)
 
 
