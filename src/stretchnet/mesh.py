@@ -2,13 +2,14 @@
 
 A Polyhedron is immutable after construction and validated once, on
 ingestion: closed orientable surface with sphere topology, planar convex
-faces oriented counterclockwise as seen from outside, every vertex an
-extreme point of the hull, and every cone angle (the sum of a vertex's
-corner angles) below 2*pi.  Coordinates are normalized to unit
-bounding-box diameter.  Validation is vectorised over flat per-corner
-arrays, with one Newell normal per face and the plane test run in
-blocks of faces.  A linear map
-with positive determinant preserves every validated property, so
+faces oriented counterclockwise as seen from outside, every vertex inside
+every face's plane, and every cone angle (the sum of a vertex's corner
+angles) below 2*pi.  The last two make every vertex extreme, since one
+that is not has a flat star of cone angle 2*pi, so no hull is computed.
+Coordinates are normalized to unit bounding-box diameter.  Validation is
+vectorised over flat per-corner arrays, with one Newell normal per face
+and the plane test run in blocks of faces.  A linear map with positive
+determinant preserves every validated property, so
 ``Polyhedron.transformed`` shares the combinatorics and maps only the
 vertices; vertex-derived data is computed on first use, once per mesh.
 Each face's planar frame is computed once, in one cache
@@ -31,7 +32,6 @@ from functools import cached_property
 from typing import IO, NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     CoplanarFacesWarning,
@@ -237,7 +237,14 @@ class Polyhedron:
         self.adjacency = tuple(tuple(heads[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends))
 
     def _validate(self, tol: float, normals: np.ndarray):
-        """Global checks; ``normals`` are the outward unit face normals."""
+        """Global checks; ``normals`` are the outward unit face normals.
+
+        No hull is needed: once the plane test passes, the surface bounds
+        conv(V), and a vertex that is not extreme lies inside a face or an
+        edge of conv(V), so its star is flat, its cone angle is 2*pi and the
+        cone-angle test rejects it.  ``build`` has already rejected a flat
+        vertex set: every face plane then passes through the body centroid.
+        """
         nv, ne, nf = len(self.vertices), len(self.edges), len(self.faces)
         if nv - ne + nf != 2:
             raise NotClosed(f"Euler characteristic V-E+F = {nv - ne + nf}, expected 2")
@@ -262,16 +269,7 @@ class Polyhedron:
                     f"a vertex lies {worst[out[0]]:.3e} outside the plane of face {lo + int(out[0])}"
                 )
 
-        # every vertex is an extreme point of the hull
-        try:
-            hull = ConvexHull(self.vertices)
-        except QhullError as exc:
-            raise NotConvex(f"degenerate vertex set: {exc}") from exc
-        if len(set(hull.vertices)) != nv:
-            missing = sorted(set(range(nv)) - set(hull.vertices))
-            raise NotConvex(f"vertices {missing} are not extreme points of the hull")
-
-        # positive curvature at every vertex
+        # positive curvature at every vertex, which also makes it extreme
         flat = np.flatnonzero(self.cone_angles >= TWO_PI - EPS)
         if flat.size:
             raise NotConvex(f"vertex {int(flat[0])} has total intrinsic angle >= 2*pi")
@@ -377,34 +375,22 @@ def _frames(pts: np.ndarray) -> np.ndarray:
     """
     rel = pts - pts[:, :1]
     u = rel[:, 1] / _norms(rel[:, 1])[:, None]
-    n = _cross3(u, rel[:, 2])
+    n = np.cross(u, rel[:, 2])
     search = np.ones(len(rel), dtype=bool)
     for j in range(3, rel.shape[1]):
         q = rel[:, j]
         search &= ~(_norms(n) > 1e-12 * _norms(q))
         if not search.any():
             break
-        n[search] = _cross3(u[search], q[search])
+        n[search] = np.cross(u[search], q[search])
     n = n / _norms(n)[:, None]
-    w = _cross3(n, u)
+    w = np.cross(n, u)
     return np.concatenate([rel @ u[:, :, None], rel @ w[:, :, None]], axis=2)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
     # per row, the dot product np.linalg.norm takes the square root of
     return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.cross's own products and differences, along the last axis
-    return np.stack(
-        [
-            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
-        ],
-        axis=-1,
-    )
 
 
 # -- OFF format ---------------------------------------------------------

@@ -355,7 +355,8 @@ def load_layout_json(source: Union[str, os.PathLike, IO]) -> dict:
     path-like is opened and a file object is read.
 
     Raises MalformedLayout unless the document is an object whose
-    ``faces``, ``boundary`` and (optional) ``folds`` are lists.
+    ``faces``, ``boundary`` and (optional) ``folds`` are lists, ``tree`` is
+    ``{"pairs": [[child, parent], ...], "root": r}`` and ``meta`` an object.
     """
     if isinstance(source, os.PathLike):
         with open(source) as fh:
@@ -363,9 +364,20 @@ def load_layout_json(source: Union[str, os.PathLike, IO]) -> dict:
     else:
         doc = json.loads(source.read() if hasattr(source, "read") else source)
     parts = (doc.get("faces"), doc.get("boundary"), doc.get("folds", [])) if isinstance(doc, dict) else ()
-    if not parts or not all(isinstance(p, list) for p in parts):
+    if not parts or not all(isinstance(p, list) for p in parts) or not isinstance(doc.get("meta"), dict):
         raise MalformedLayout("not a layout document")
+    tree = doc.get("tree")
+    pairs = tree.get("pairs") if isinstance(tree, dict) else None
+    if not isinstance(pairs, list) or not _is_index(tree.get("root")) or not all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_index, p)) for p in pairs
+    ):
+        raise MalformedLayout('layout tree is not {"pairs": [[child, parent], ...], "root": r}')
     return doc
+
+
+def _is_index(i) -> bool:
+    # JSON's true would read as 1, and a negative index from the end of a list
+    return type(i) is int and i >= 0
 
 
 #: What reading a record unlike ``layout_to_json``'s can raise.
@@ -380,7 +392,7 @@ def _stored_edge(faces: list, f, pos, *indices) -> tuple:
     ``true`` would read as 1).  Anything else raises one of _MALFORMED.
     """
     for i in (f, pos, *indices):
-        if type(i) is not int or i < 0:  # a negative index would read from the end of a list
+        if not _is_index(i):
             raise ValueError(f"{i!r} is not an index")
     face = faces[f]
     (x, y), (hx, hy) = face[pos], face[(pos + 1) % len(face)]

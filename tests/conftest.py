@@ -1,8 +1,11 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stretchnet
 from stretchnet import shapes
 from stretchnet.mesh import Polyhedron
 
@@ -67,3 +70,13 @@ def winding_angle_sum(points, p, subdiv=32):
         if i == n:
             break
     return round(total / (2 * math.pi))
+
+
+def child_env(**overrides):
+    # a fresh interpreter must import the same stretchnet as this session,
+    # whether it comes from an uninstalled src/ checkout or an installation
+    env = dict(os.environ)
+    root = str(Path(stretchnet.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    env.update(overrides)
+    return env

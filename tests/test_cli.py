@@ -3,7 +3,6 @@ import copy
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +10,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import stretchnet
 from stretchnet import shapes
 from stretchnet.cli import main
 from stretchnet.mesh import export_off, load_off
 from stretchnet.pipeline import stretch_and_unfold
 from stretchnet.tree import TieRule
 from stretchnet.unfold import _json_dumps, layout_to_json
+
+from conftest import child_env
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -31,16 +31,6 @@ def tetra_off(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
-
-
-def child_env(**overrides):
-    # a fresh interpreter must import the same stretchnet as this session,
-    # whether it comes from an uninstalled src/ checkout or an installation
-    env = dict(os.environ)
-    root = str(Path(stretchnet.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    env.update(overrides)
-    return env
 
 
 def test_unfold_writes_artifacts(tetra_off, tmp_path, capsys):
@@ -178,6 +168,12 @@ MALFORMED = {
     "true-fold-corner": lambda doc: _corner_of_first_fold(doc, lambda x, y: [True, y]),
     "true-boundary-head": lambda doc: doc["boundary"][0].__setitem__("head", True),
     "string-fold-edge": lambda doc: doc["folds"][0]["edge"].__setitem__(0, "x"),
+    "tree-null": lambda doc: doc.__setitem__("tree", None),
+    "tree-missing": lambda doc: doc.pop("tree"),
+    "true-tree-root": lambda doc: doc["tree"].__setitem__("root", True),
+    "negative-tree-parent": lambda doc: doc["tree"]["pairs"][0].__setitem__(1, -1),
+    "meta-list": lambda doc: doc.__setitem__("meta", []),
+    "meta-missing": lambda doc: doc.pop("meta"),
 }
 
 
@@ -374,6 +370,8 @@ ZERO_LENGTH_SEGMENT = {
     "faces": [[[0, 0], [1, 0.1], [1, 0.1], [2, 0], [1, -0.2]]],
     "boundary": [{"face": 0, "pos": i, "tail": i, "head": (i + 1) % 5, "edge": [i, i + 1], "dual": i} for i in range(5)],
     "folds": [],
+    "tree": {"pairs": [[i + 1, i] for i in range(5)], "root": 0},
+    "meta": {},
 }
 
 

@@ -1,11 +1,18 @@
-"""Dead-code guard over ``src/stretchnet``: the leftovers a deletion leaves
-behind.  Every module uses each name it imports, and every module-level
-private name (``_x``) is read somewhere in ``src/``.  Only ``ast`` is
-needed, so the check reads the source and imports nothing.
+"""Dead-code and dependency guards over ``src/stretchnet``.
+
+Every module uses each name it imports, and every module-level private
+name (``_x``) is read somewhere in ``src/``: the leftovers a deletion
+leaves behind.  Only ``shapes`` imports scipy, so ``import stretchnet``
+needs numpy alone.  The source checks read the source with ``ast`` and
+import nothing; the import check runs in a fresh interpreter.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+from conftest import child_env
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stretchnet"
 MODULES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
@@ -59,3 +66,24 @@ def test_every_private_name_is_read():
     read = set().union(*map(names_read, MODULES.values()))
     unread = {name: sorted(module_level_private(tree) - read) for name, tree in MODULES.items()}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def imported_packages(tree: ast.Module) -> set:
+    """Top-level packages the module imports absolutely."""
+    packages = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            packages.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+def test_only_shapes_imports_scipy():
+    assert {name for name, tree in MODULES.items() if "scipy" in imported_packages(tree)} == {"shapes.py"}
+
+
+def test_import_stretchnet_loads_no_scipy():
+    code = "import sys, stretchnet; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True)
+    assert proc.stdout.strip() == "[]"

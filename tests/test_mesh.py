@@ -34,6 +34,8 @@ CUBE_OFF = """OFF
 4 2 6 7 3
 4 3 7 4 0
 """
+CUBE_VERTS = np.array([[float(t) for t in ln.split()] for ln in CUBE_OFF.splitlines()[2:10]])
+CUBE_FACES = [tuple(int(t) for t in ln.split()[1:]) for ln in CUBE_OFF.splitlines()[10:16]]
 
 
 def test_load_off_cube_counts():
@@ -62,7 +64,7 @@ def test_load_off_roundtrip(icosa):
 
 def test_load_off_rejects_pushed_in_vertex():
     # on a cube the quad faces bend first; on a triangulated solid the
-    # faces stay planar and the hull-extreme test must do the rejecting
+    # faces stay planar and the plane test must do the rejecting
     bad_cube = CUBE_OFF.replace("-1 -1 -1", "-0.2 -0.2 -0.2", 1)
     with pytest.raises((NotConvex, NonPlanarFace)):
         load_off(bad_cube)
@@ -71,6 +73,22 @@ def test_load_off_rejects_pushed_in_vertex():
     verts[0] *= -0.05  # pull one tip past the center: strictly interior
     with pytest.raises(NotConvex):
         Polyhedron.build(verts, octa.faces)
+
+
+@pytest.mark.parametrize(
+    "point, faces",
+    [
+        ((0.0, 0.0, -1.0), [(0, 1, 8), (1, 2, 8), (2, 3, 8), (3, 0, 8)] + CUBE_FACES[1:]),
+        ((0.0, -1.0, -1.0), [(0, 8, 1, 2, 3), CUBE_FACES[1], (0, 4, 5, 1, 8)] + CUBE_FACES[3:]),
+    ],
+    ids=["face-centre", "edge-midpoint"],
+)
+def test_non_extreme_vertex_rejected_by_cone_angle(point, faces):
+    # vertex 8 lies inside a face or an edge of the cube, so it is not
+    # extreme; the faces around it are flat there, so its cone angle is 2*pi
+    verts = np.vstack([CUBE_VERTS, point])
+    with pytest.raises(NotConvex, match=r"^vertex 8 has total intrinsic angle >= 2\*pi$"):
+        Polyhedron.build(verts, faces)
 
 
 def test_load_off_rejects_nonplanar_face():

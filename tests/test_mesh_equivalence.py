@@ -4,11 +4,15 @@
 accept and reject the same inputs, raise the same exception type with
 the same message, emit the same warnings, and on acceptance give the
 same vertices, faces, edges and adjacency, and cone angles within 1e-12.
+One message differs by design: where the reference's hull finds vertices
+that are not extreme, the library builds no hull and its cone-angle test
+names one of them (see ``Polyhedron._validate``).
 ``Polyhedron.transformed`` must equal a full rebuild of the mapped
 vertices wherever that rebuild succeeds.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,11 +20,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from stretchnet import shapes
-from stretchnet.mesh import Polyhedron, _cross3
+from stretchnet.mesh import Polyhedron
 from stretchnet.transform import choose_rotation
 
 from mesh_reference import face_points3d, local_coords, reference_build
-from test_mesh import CUBE_OFF
+from test_mesh import CUBE_FACES as CUBE_F, CUBE_VERTS as CUBE_V
 
 
 def outcome(build, verts, faces, normalize=True):
@@ -47,7 +51,12 @@ def assert_equivalent(verts, faces, normalize=True):
     want, want_warn = outcome(reference_build, verts, faces, normalize)
     assert got_warn == want_warn
     if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want)
+        assert type(got) is type(want)
+        hull = re.fullmatch(r"vertices \[([\d, ]+)\] are not extreme points of the hull", str(want))
+        if hull:
+            assert str(got) in {f"vertex {k} has total intrinsic angle >= 2*pi" for k in hull[1].split(", ")}
+        else:
+            assert str(got) == str(want)
     else:
         assert not isinstance(got, Exception), got
         assert_same_mesh(got, want)
@@ -68,14 +77,6 @@ PLATONIC = {name: (P.vertices, P.faces) for name, P in shapes.platonic_solids().
 HULLS = {f"hull{6 + s % 5}-{s}": raw(sphere_points(6 + s % 5, s)) for s in range(20)}
 
 
-def off_mesh(text):
-    lines = text.strip().splitlines()[2:]
-    verts = np.array([[float(t) for t in ln.split()] for ln in lines[:8]])
-    faces = [tuple(int(t) for t in ln.split()[1:]) for ln in lines[8:]]
-    return verts, faces
-
-
-CUBE_V, CUBE_F = off_mesh(CUBE_OFF)
 OCTA = shapes.octahedron()
 ARROW = [(0, 0), (2, 1), (0, 2), (0.5, 1)]  # concave quadrilateral
 
@@ -180,16 +181,6 @@ def perturbed_meshes(draw):
 @given(perturbed_meshes())
 def test_perturbed_meshes_agree(mesh):
     assert_equivalent(*mesh)
-
-
-vectors = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3).map(np.array)
-
-
-@given(vectors, vectors)
-def test_cross3_is_bitwise_np_cross(a, b):
-    # face frames feed every layout coordinate, so the fast cross product
-    # must round exactly as np.cross does
-    assert _cross3(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 # -- Polyhedron.transformed -------------------------------------------------
