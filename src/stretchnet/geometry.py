@@ -141,14 +141,18 @@ def segment_pair_contacts(
     return dist, proper, contact
 
 
-def require_segment_lengths(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> None:
-    """Raise DegenerateSegment at the first segment ``A[s]->B[s]`` of the
-    index sequence ``S`` that is no longer than EPS, naming it by its
-    endpoints as float tuples."""
-    short = S[np.hypot(*(B[S] - A[S]).T) <= EPS]
+def require_segment_lengths(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Lengths of the segments ``A[s]->B[s]`` of the index sequence ``S``.
+
+    Raises DegenerateSegment at the first of them that is no longer than
+    EPS, naming it by its endpoints as float tuples.
+    """
+    lengths = np.hypot(*(B[S] - A[S]).T)
+    short = S[lengths <= EPS]
     if len(short):
         a, b = tuple(A[short[0]].tolist()), tuple(B[short[0]].tolist())
         raise DegenerateSegment(f"segment {a}-{b} has near-zero length")
+    return lengths
 
 
 def _segment_blocks(starts: np.ndarray, ends: np.ndarray, n_samples: int):

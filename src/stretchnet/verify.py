@@ -13,16 +13,21 @@ then makes the unfolding injective.  The first two checks are the
 structural facts the stretching is meant to buy, so their failure, like
 a clockwise boundary, is a precondition problem rather than overlap.
 
-The collision check measures only segment pairs whose bounding boxes
-come within the tolerance, found by sorting the boxes by x.  It takes
-the x-overlapping pairs in blocks of bounded size, so its memory does
-not grow with their number.  It and the arm oracles decide contacts
-with ``geometry``'s array kernels.
+The collision check measures only segment pairs that can touch.  Its
+broad phase keeps the pairs whose bounding boxes come within the
+tolerance, found by sorting the boxes by x, and then drops every pair
+with one segment wholly on one side of the other's line and clear of
+it, by the contact kernel's own orientation arithmetic; on a simple
+boundary little more than the consecutive pairs are left.  It takes the
+pairs in blocks of bounded size, so its memory does not grow with their
+number.  It and the arm oracles decide contacts with ``geometry``'s
+array kernels.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,56 +69,163 @@ def decompose_boundary(B: BoundaryCurve) -> tuple:
     sign, so dx > 0 on every segment would make x strictly increase
     around a closed curve.  Hence both directions occur, and two
     neighbouring maximal runs differ in direction by construction.
+
+    Angles are ``geometry.arg``'s, taken inline: its guard against the
+    zero vector cannot fire once |dx| > EPS.
     """
     pts = B.points
     n = len(pts)
-    leftmost = min(range(n), key=lambda i: (pts[i][0], pts[i][1]))
-    max_tilt, wrong_turns, before = 0.0, [], None
-    for i in (*range(n), 0):  # segment 0 again closes the switch at corner 0
-        a, b = pts[i], pts[(i + 1) % n]
-        dx, dy = b[0] - a[0], b[1] - a[1]
+    leftmost = min(range(n), key=pts.__getitem__)
+    max_tilt, wrong_turns, was_right, was_angle = 0.0, [], None, None
+    # segment 0 comes again last, to close the switch at corner 0
+    for i, (ax, ay), (bx, by) in zip((*range(n), 0), (*pts, pts[0]), (*pts[1:], *pts[:2])):
+        dx = bx - ax
         if abs(dx) <= EPS:
             raise VerticalSegment(f"segment {i} has |dx| = {abs(dx):.3e}")
-        direction, angle = "R" if dx > 0 else "L", arg((dx, dy))
-        max_tilt = max(max_tilt, min(abs(angle), math.pi - abs(angle)))
-        if before is not None and direction != before[0] and i != leftmost:
-            turn = normalize_angle(angle - before[1])
-            if (turn > 0.0) != (before[0] == "R"):
-                wrong_turns.append((i, before[0], turn))
-        before = direction, angle
+        angle = math.atan2(by - ay, dx)
+        if angle <= -math.pi:
+            angle = math.pi
+        tilt = abs(angle)
+        if math.pi - tilt < tilt:
+            tilt = math.pi - tilt
+        if tilt > max_tilt:
+            max_tilt = tilt
+        right = dx > 0
+        if right != was_right and was_right is not None and i != leftmost:
+            turn = normalize_angle(angle - was_angle)
+            if (turn > 0.0) != was_right:
+                wrong_turns.append((i, "R" if was_right else "L", turn))
+        was_right, was_angle = right, angle
     return max_tilt, wrong_turns
 
 
-#: Largest number of x-overlapping segment pairs the contact check
-#: holds at once, which bounds its memory on long boundaries.
-_PAIR_BLOCK = 1 << 12
+#: Largest number of segment pairs the contact check holds at once, in
+#: the broad phase and in each call of the contact kernel, which bounds
+#: its memory on long boundaries.
+_PAIR_BLOCK = 1 << 13
+
+#: The broad phase's rounding allowance per unit of the largest
+#: coordinate magnitude: 64 ulps.
+_ROUNDING = 64.0 * float(np.finfo(float).eps)
 
 
-def _candidate_pairs(A: np.ndarray, B: np.ndarray, margin: float):
-    """Blocks of index pairs (I, J), i < j, of segments whose bounding
-    boxes, each grown by ``margin``, overlap.
+def _near_line(segments: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Which pairs (p, q) the line test keeps: False where both ends of
+    segment q lie strictly on one side of segment p's line, each with an
+    orientation beyond p's reach.
 
-    Broad phase of the contact check: the boxes are sorted by left edge
-    and every box is paired with the later ones that start before it
-    ends (argsort plus searchsorted).  These x-overlapping pairs are
-    numbered in that order and taken _PAIR_BLOCK at a time, and each
-    block is filtered by the boxes' y-extents.  Nearly horizontal
-    boundaries have short x-extents, so few pairs survive.
+    ``segments`` holds a row (ax, ay, bx, by, dx, dy, reach) per segment:
+    its ends, its direction ``B - A`` and its reach.  The orientation of
+    an end c is ``dx*(cy - ay) - dy*(cx - ax)``, the contact kernel's own
+    float expression.
+    """
+    ax, ay, _, _, dx, dy, reach = segments.take(p, axis=0).T
+    ends = segments.take(q, axis=0)
+    cx, cy = ends[:, 0:4:2].T, ends[:, 1:4:2].T  # q's start and end, each (2, k)
+    o = dx * (cy - ay) - dy * (cx - ax)
+    # both orientations signed by the first: the nearer end's, if both ends lie on one side
+    return ~((o * np.sign(o[0])).min(axis=0) > reach)
+
+
+@lru_cache(maxsize=32)
+def _all_pairs(m: int) -> tuple:
+    """Every index pair (p, q), p < q, of ``m`` segments, read-only."""
+    pairs = np.triu_indices(m, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+def _x_overlaps(xlo: np.ndarray, xhi: np.ndarray):
+    """Blocks of index pairs (p, q) of intervals [xlo, xhi] that overlap,
+    each pair once, at most _PAIR_BLOCK pairs to a block.
+
+    When every pair fits in one block, that block is every pair with
+    overlapping intervals, found without sorting.  Otherwise the
+    intervals are sorted by left end and each is paired with the later
+    ones that start before it ends (argsort plus searchsorted).  These
+    pairs are numbered in that order and taken _PAIR_BLOCK at a time, so
+    their memory does not grow with their number; a block is spelled out
+    by repeating each interval it spans once per pair it has there.
+    """
+    m = len(xlo)
+    if m * (m - 1) // 2 <= _PAIR_BLOCK:
+        p, q = _all_pairs(m)
+        keep = (xlo[q] <= xhi[p]) & (xlo[p] <= xhi[q])
+        yield p[keep], q[keep]
+        return
+    order = np.argsort(xlo)
+    rank = np.arange(1, m + 1)
+    counts = np.maximum(np.searchsorted(xlo[order], xhi[order], side="right") - rank, 0)
+    ends = np.cumsum(counts)  # pair g belongs to the first interval f with ends[f] > g
+    starts = ends - counts
+    partner = rank - starts  # the sorted position of f's partner in pair g, less g
+    total = int(ends[-1])
+    for g0 in range(0, total, _PAIR_BLOCK):
+        g1 = min(g0 + _PAIR_BLOCK, total)
+        f0, f1 = np.searchsorted(ends, (g0, g1 - 1), side="right") + (0, 1)
+        # how many of the block's pairs each interval f0 <= f < f1 has
+        share = np.minimum(ends[f0:f1], g1) - np.maximum(starts[f0:f1], g0)
+        yield np.repeat(order[f0:f1], share), order[np.repeat(partner[f0:f1], share) + np.arange(g0, g1)]
+
+
+def _candidate_pairs(A: np.ndarray, B: np.ndarray, lengths: np.ndarray, margin: float):
+    """Blocks of index pairs (I, J), i < j, of segments ``A->B`` (of
+    ``lengths``) that may come within ``margin`` of each other.
+
+    Broad phase of the contact check, in two filters.  The first keeps
+    the pairs whose bounding boxes, each grown by ``margin``, overlap:
+    _x_overlaps finds them by x, a block at a time, and each block is
+    filtered by y.  Nearly horizontal boundaries have short x-extents, so
+    few pairs get this far.  The second, _near_line, drops a pair (p, q)
+    when both ends of q lie strictly on one side of p's line with
+    orientations beyond 2 * margin * |p|, that is, farther than
+    2 * margin from it.  On a simple boundary little more than the
+    consecutive pairs remain.
+
+    The line test loses no contact the kernel would report:
+
+    - It evaluates each orientation with the kernel's own float
+      expression, and the kernel measures q's ends against p's line too.
+      For a dropped pair it reads both with one strict sign, so it cannot
+      report a proper crossing.
+    - Nor can it report a distance within EPS.  Let s be the largest
+      coordinate magnitude, u = 2**-53 and d = b - a exactly.  Three
+      roundings in each product and one in their difference put the
+      computed orientation of an end c within
+      4u (|dx (cy - ay)| + |dy (cx - ax)|) <= 4u |d| |c - a| < 12us |d|
+      of the exact one (Cauchy-Schwarz, and |c - a| <= 2 sqrt(2) s), and
+      the computed reach is within 4u of 2 margin |d|.  So each end of
+      a dropped q lies farther than 2 margin (1 - 4u) - 12us > margin
+      from p's line, both on one side, and all of q lies more than margin
+      from p.  That is the box test's own premise: ``margin`` is EPS plus
+      an allowance of 64 ulps of s (at least 128us) for the rounding of
+      the kernel's endpoint distances, so they read above EPS.
+    - Consecutive segments share an exact endpoint: the kernel's
+      expression gives it the orientation dx*dy - dy*dx = 0 exactly,
+      so consecutive pairs are never dropped.
     """
     (xlo, ylo), (xhi, yhi) = (np.minimum(A, B) - margin).T, (np.maximum(A, B) + margin).T
-    order = np.argsort(xlo)
-    rank = np.arange(1, len(order) + 1)
-    counts = np.maximum(np.searchsorted(xlo[order], xhi[order], side="right") - rank, 0)
-    ends = np.cumsum(counts)  # pair g belongs to the first box f with ends[f] > g
-    partner = rank + counts - ends  # the sorted position of f's partner in pair g, less g
-    total = int(ends[-1]) if len(ends) else 0
-    for g0 in range(0, total, _PAIR_BLOCK):
-        g = np.arange(g0, min(g0 + _PAIR_BLOCK, total))
-        first = np.searchsorted(ends, g, side="right")
-        p, q = order[first], order[partner[first] + g]
+    segments = np.concatenate((A, B, B - A, 2.0 * margin * lengths[:, None]), axis=1)
+    held, count = [], 0  # kept pairs, gathered into blocks of at most _PAIR_BLOCK
+    for p, q in _x_overlaps(xlo, xhi):
         keep = (ylo[q] <= yhi[p]) & (ylo[p] <= yhi[q])
         p, q = p[keep], q[keep]
-        yield np.minimum(p, q), np.maximum(p, q)
+        keep = _near_line(segments, p, q)
+        p, q = p[keep], q[keep]
+        if held and count + len(p) > _PAIR_BLOCK:
+            yield _ordered(held)
+            held, count = [], 0
+        held.append((p, q))
+        count += len(p)
+    if held:
+        yield _ordered(held)
+
+
+def _ordered(held: list) -> tuple:
+    """The held blocks of pairs (p, q) as one block (I, J) with i < j."""
+    p, q = held[0] if len(held) == 1 else map(np.concatenate, zip(*held))
+    return np.minimum(p, q), np.maximum(p, q)
 
 
 def polyline_self_intersections(points: Sequence, closed: bool) -> list:
@@ -126,28 +238,33 @@ def polyline_self_intersections(points: Sequence, closed: bool) -> list:
     self-contact would be located while drawing the boundary; so their
     order does not depend on how the pairs were split into blocks.
 
-    Only pairs whose bounding boxes come within the contact tolerance are
-    measured, each once.  The boxes are grown by EPS plus a rounding
-    allowance relative to the largest coordinate magnitude, so every pair
-    whose computed endpoint-to-segment distances can reach EPS is among
-    them; consecutive segments share an endpoint, so every consecutive
-    pair is, and the contact kernel forgives that endpoint.  Grown boxes
-    can overlap where the segments' own boxes are disjoint; the contact
-    kernel's bounding-box guard keeps such a pair from being read as
-    crossing.  With two or more segments, the lowest-numbered segment no
-    longer than EPS raises DegenerateSegment.  The pairs are measured one
-    broad-phase block at a time.
+    Only the pairs that the broad phase (_candidate_pairs) finds within
+    the contact tolerance are measured, each once.  Its margin is EPS plus
+    a rounding allowance relative to the largest coordinate magnitude, so
+    every pair whose computed endpoint-to-segment distances can reach EPS
+    is among them; consecutive segments share an endpoint, so every
+    consecutive pair is, and the contact kernel forgives that endpoint.
+    Grown boxes can overlap where the segments' own boxes are disjoint;
+    the contact kernel's bounding-box guard keeps such a pair from being
+    read as crossing.  With two or more segments, the lowest-numbered
+    segment no longer than EPS raises DegenerateSegment.  The pairs are
+    measured one broad-phase block at a time.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     m = len(pts) if closed else len(pts) - 1
+    margin = EPS + _ROUNDING * float(np.abs(pts).max())
+    if m < 2:
+        return []
     A, B = pts[:m], np.concatenate((pts[1:], pts[:1]))[:m]
-    if m > 1:  # a walk over all pairs meets the lowest-numbered short segment first
-        require_segment_lengths(A, B, np.arange(m))
-    scale = float(np.abs(pts).max())
+    # a walk over all pairs meets the lowest-numbered short segment first
+    lengths = require_segment_lengths(A, B, np.arange(m))
     raw = []
-    for I, J in _candidate_pairs(A, B, EPS + 64.0 * np.finfo(float).eps * scale):
-        consecutive = (I + 1 == J) | (closed & (I == 0) & (J == m - 1))
+    for I, J in _candidate_pairs(A, B, lengths, margin):
+        step = J - I
+        consecutive = (step == 1) | (step == m - 1) if closed else step == 1
         _, proper, hit = segment_pair_contacts(A, B, I, J, consecutive)
+        if not hit.any():
+            continue
         for i, j, crossing in zip(I[hit].tolist(), J[hit].tolist(), proper[hit].tolist()):
             point, t = crossing_point(A[i].tolist(), B[i].tolist(), A[j].tolist(), B[j].tolist(), crossing)
             raw.append((j, t, i, point))

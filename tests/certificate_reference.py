@@ -9,6 +9,11 @@ alternation.  This module keeps the exhaustive form all three shortcuts
 must agree with, verdict for verdict and witness for witness: the
 boundary split into maximal rightward/leftward runs, a turn recorded at
 every junction, and an explicit alternation test.
+
+``one_pass_decomposition`` freezes the library's first one-pass
+structural loop, which called ``geometry.arg`` per segment; the library's
+``decompose_boundary`` takes its angles inline and must return the same
+tilt, the same wrong-way switches and the same VerticalSegment text.
 """
 
 import math
@@ -89,6 +94,30 @@ def decompose_boundary(B) -> BoundaryDecomposition:
         angle = normalize_angle(angles[i_next] - angles[i_prev])
         turns.append(Turn(i_next, run.direction, nxt.direction, angle))
     return BoundaryDecomposition(tuple(runs), tuple(turns), max_tilt, leftmost)
+
+
+def one_pass_decomposition(B) -> tuple:
+    """``(max_tilt, wrong_turns)`` of the closed boundary in one pass:
+    wrong_turns lists ``(corner, direction before, signed turn angle)``
+    for every direction switch that turns the wrong way, except at the
+    leftmost corner, in ascending corner order with corner 0 last."""
+    pts = B.points
+    n = len(pts)
+    leftmost = min(range(n), key=lambda i: (pts[i][0], pts[i][1]))
+    max_tilt, wrong_turns, before = 0.0, [], None
+    for i in (*range(n), 0):  # segment 0 again closes the switch at corner 0
+        a, b = pts[i], pts[(i + 1) % n]
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        if abs(dx) <= EPS:
+            raise VerticalSegment(f"segment {i} has |dx| = {abs(dx):.3e}")
+        direction, angle = "R" if dx > 0 else "L", arg((dx, dy))
+        max_tilt = max(max_tilt, min(abs(angle), math.pi - abs(angle)))
+        if before is not None and direction != before[0] and i != leftmost:
+            turn = normalize_angle(angle - before[1])
+            if (turn > 0.0) != (before[0] == "R"):
+                wrong_turns.append((i, before[0], turn))
+        before = direction, angle
+    return max_tilt, wrong_turns
 
 
 def check_turn_directions(D: BoundaryDecomposition) -> Verdict:

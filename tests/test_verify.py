@@ -4,10 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from stretchnet import shapes
-from stretchnet.errors import LengthMismatch, VerticalSegment
+from stretchnet.errors import DegenerateSegment, LengthMismatch, VerticalSegment
 from stretchnet.geometry import EPS, segment_pair_contacts
 from stretchnet.pipeline import stretch_and_unfold
 from stretchnet.transform import apply_linear, choose_rotation, default_theta_max, plan_stretch, required_lambda, rotate
@@ -79,6 +79,46 @@ def test_decompose_eight_runs_zigzag():
     assert sum(len(r.segments) for r in D.runs) == len(pts)
 
 
+def structure_outcome(decompose, B):
+    """``repr`` of a structural pass's result, or its exception's text."""
+    try:
+        return repr(decompose(B))
+    except VerticalSegment as exc:
+        return f"VerticalSegment: {exc}"
+
+
+# corners anywhere within 1e8, at either zero, or at a small integer
+# (ints stay ints, so dx and dy are ints); a few steps in x within EPS
+structural_coordinate = st.floats(-1e8, 1e8) | st.sampled_from([0.0, -0.0]) | st.integers(-3, 3)
+
+
+@st.composite
+def structural_polyline(draw):
+    """Closed polylines for the structural loop: integer or float corners,
+    x-steps of 0 or near EPS, y-values of -0.0 (atan2 gives -pi for a
+    leftward segment from y = 0.0 to y = -0.0) and corners that tie for
+    the leftmost."""
+    pts = draw(st.lists(st.tuples(structural_coordinate, structural_coordinate), min_size=2, max_size=10))
+    for k in draw(st.lists(st.integers(1, len(pts) - 1), max_size=3)):
+        step = draw(st.sampled_from([0.0, EPS / 2, EPS, 2 * EPS, -2 * EPS]))
+        pts[k] = (pts[k - 1][0] + step, draw(structural_coordinate))
+    for k in draw(st.lists(st.integers(0, len(pts) - 1), max_size=2)):
+        pts[k] = min(pts) if draw(st.booleans()) else (min(pts)[0], draw(structural_coordinate))
+    return pts
+
+
+@given(structural_polyline())
+@example([(-5.0, 3.0), (2.0, 0.0), (1.0, -0.0), (2.0, -4.0)])  # corner 2 turns from -pi, read as pi
+@example([(0, 0), (3, 1), (1, 2), (0, 5), (2, -1)])
+@example([(0, 1), (2, 2), (0, 0), (2, -1)])  # corner 2 is the leftmost, not corner 0
+@example([(0.0, 1.0), (2.0, 1.5), (0.0, 1.0), (1.0, -1.0), (0.0, 1.0), (3.0, 0.0)])
+@example([(0.0, 0.0), (2.0, -0.1), (4.0, 0.05), (4.0 + EPS, 1.0), (2.0, 1.1)])
+def test_decompose_boundary_matches_the_one_pass_reference(points):
+    # the inline angles are geometry.arg's, including its -pi -> pi map
+    B = BoundaryCurve(points=list(points), duals=list(range(len(points))))
+    assert structure_outcome(decompose_boundary, B) == structure_outcome(reference.one_pass_decomposition, B)
+
+
 def test_turn_directions_two_run_convex_pass():
     assert decompose_boundary(synthetic_boundary(FLAT_HEXAGON))[1] == []
 
@@ -142,20 +182,41 @@ def closed_polyline(draw):
     return pts
 
 
+def candidate_pairs(points, block):
+    """The broad phase's blocks of pairs for the closed polyline
+    ``points`` with ``_PAIR_BLOCK`` set to ``block``."""
+    pts = np.array(points)
+    A, B = pts, np.roll(pts, -1, axis=0)
+    with mock.patch.object(verify, "_PAIR_BLOCK", block):
+        return list(_candidate_pairs(A, B, np.hypot(*(B - A).T), EPS + 64.0 * np.finfo(float).eps * np.abs(pts).max()))
+
+
+def assert_every_consecutive_pair_once(points, block):
+    m = len(points)
+    blocks = candidate_pairs(points, block)
+    pairs = [(i, j) for I, J in blocks for i, j in zip(I.tolist(), J.tolist())]
+    assert len(set(pairs)) == len(pairs) and all(i < j for i, j in pairs)
+    assert {(i, i + 1) for i in range(m - 1)} | {(0, m - 1)} <= set(pairs)
+    assert all(len(I) <= block for I, _ in blocks)
+
+
 @given(closed_polyline())
 @example([(1e8, -1e8), (1e8 + 1e-8, -1e8), (-1e8, 1e8)])
 @example([(99999999.99999999, 3.0), (99999999.99999999, 3.0), (5e-324, -1e8)])
 def test_candidate_pairs_hold_every_consecutive_pair_once(points):
     # polyline_self_intersections measures consecutive pairs only because
-    # the broad phase returns them: each pair's boxes share an endpoint.
-    # Blocks of two x-overlapping pairs make the pairs of one box span blocks.
-    pts = np.array(points)
-    m = len(pts)
-    with mock.patch.object(verify, "_PAIR_BLOCK", 2):
-        blocks = list(_candidate_pairs(pts, np.roll(pts, -1, axis=0), EPS + 64.0 * np.finfo(float).eps * np.abs(pts).max()))
-    pairs = [(i, j) for I, J in blocks for i, j in zip(I.tolist(), J.tolist())]
-    assert len(set(pairs)) == len(pairs) and all(i < j for i, j in pairs)
-    assert {(i, i + 1) for i in range(m - 1)} | {(0, m - 1)} <= set(pairs)
+    # the broad phase returns them: each pair's boxes share an endpoint,
+    # which lies exactly on both segments' lines.  Blocks of two
+    # x-overlapping pairs make the pairs of one box span blocks.
+    assert_every_consecutive_pair_once(points, 2)
+
+
+@given(closed_polyline())
+def test_candidate_pairs_of_a_short_polyline_come_in_one_block(points):
+    # every pair of a polyline this short fits in the default block, so
+    # the broad phase measures them all at once, without sorting
+    assert len(candidate_pairs(points, verify._PAIR_BLOCK)) == 1
+    assert_every_consecutive_pair_once(points, verify._PAIR_BLOCK)
 
 
 def test_polyline_disjoint_segments_with_overlapping_grown_boxes():
@@ -232,6 +293,109 @@ def test_contact_check_memory_is_bounded(hull_boundaries):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def contacts(points, closed):
+    """The contact check's witnesses, or the text of the DegenerateSegment
+    it raised."""
+    try:
+        return polyline_self_intersections(points, closed=closed)
+    except DegenerateSegment as exc:
+        return str(exc)
+
+
+def keep_every_pair(segments, p, q):
+    return np.ones(len(p), dtype=bool)
+
+
+def assert_line_test_drops_no_contact(points):
+    for closed in (True, False):
+        filtered = contacts(points, closed)
+        with mock.patch.object(verify, "_near_line", keep_every_pair):
+            assert contacts(points, closed) == filtered
+
+
+@st.composite
+def near_touching_polyline(draw):
+    """A closed polyline at a scale from 1 to 1e8 whose last two corners
+    each lie EPS/2 to three broad-phase margins from segment 0's line, on
+    either side, near or past its ends: the segment between them runs
+    alongside segment 0."""
+    scale = 10.0 ** draw(st.floats(0.0, 8.0))
+    unit = st.floats(-1.0, 1.0)
+    pts = [(scale * draw(unit), scale * draw(unit)) for _ in range(draw(st.integers(2, 5)))]
+    (ax, ay), (bx, by) = pts[0], pts[1]
+    length = math.hypot(bx - ax, by - ay)
+    assume(length > scale * 1e-3)
+    margin = EPS + 64.0 * np.finfo(float).eps * max(abs(c) for pt in pts for c in pt)
+    for _ in range(2):
+        t = draw(st.floats(-0.5, 1.5))
+        gap = draw(st.floats(EPS / 2, 3 * margin)) * draw(st.sampled_from([1.0, -1.0]))
+        pts.append((ax + t * (bx - ax) - gap * (by - ay) / length, ay + t * (by - ay) + gap * (bx - ax) / length))
+    return pts
+
+
+@given(closed_polyline() | near_touching_polyline())
+@example([(0.0, 0.0), (1.0, 0.0), (0.75, 2 * EPS), (0.25, 2 * EPS)])
+@example([(0.0, 0.0), (1.0, 0.0), (0.75, EPS / 2), (0.25, -EPS / 2)])
+def test_line_test_drops_no_contact(points):
+    # the broad phase's line test only saves the contact kernel work:
+    # keeping every pair it would drop finds the same witnesses
+    assert_line_test_drops_no_contact(points)
+
+
+def test_line_test_drops_no_contact_on_census_and_hull_boundaries(hull_boundaries):
+    for points in [*overlap_census_boundaries(), *hull_boundaries.values()]:
+        assert_line_test_drops_no_contact(points)
+
+
+def test_line_test_leaves_little_more_than_the_consecutive_pairs(hull_boundaries):
+    # without the line test the box filter hands the kernel 70,423 pairs
+    # of this 1,998-segment boundary; with it 2,166 remain
+    points = hull_boundaries["pi-40"]
+    with mock.patch.object(verify, "segment_pair_contacts", wraps=segment_pair_contacts) as kernel:
+        assert polyline_self_intersections(points, closed=True) == []
+    assert sum(len(call.args[2]) for call in kernel.call_args_list) <= 1.1 * len(points)
+
+
+@pytest.mark.parametrize(
+    "points, closed_witnesses, status, notes",
+    [
+        (
+            [(0.0, 0.0), (0.0, 1.4436907060444355), (0.0, 56505740.4436907)],
+            [],
+            Status.PRECONDITION_FAILURE,
+            ["segment 0 has |dx| = 0.000e+00", "boundary runs clockwise (signed area 0.0)"],
+        ),
+        (
+            [(130.0, 0.0), (2.0, 0.0), (1.999999999, 0.0)],
+            [(1, 2, (2.0, 0.0)), (0, 2, (130.0, 0.0))],
+            Status.OVERLAP,
+            [""] * 2,
+        ),
+        (
+            [(0.0, 1.0), (33554432.0, 0.0), (0.0, 0.0), (-2.8624809115118363e-09, 0.0)],
+            [],
+            Status.PRECONDITION_FAILURE,
+            [
+                "segment tilt 1.5707963239324156 exceeds pi/10",
+                "corner 1: R->L turns cw by -3.1415926237874707",
+                "boundary runs clockwise (signed area -16777216.0)",
+            ],
+        ),
+    ],
+    ids=["fold-back-at-5.7e7", "free-end-near-corner", "reference-overlap"],
+)
+def test_contacts_the_kernel_misses_at_large_coordinates_stay_missed(points, closed_witnesses, status, notes):
+    # the float kernel misses a contact on each of these (the exact
+    # reference finds one); the broad phase must neither hide more nor
+    # mend them, so the contact check and the certificate read as before
+    closed = polyline_self_intersections(points, closed=True)
+    assert [(w.seg_a, w.seg_b, w.point) for w in closed] == closed_witnesses
+    assert polyline_self_intersections(points, closed=False) == []
+    verdict = certify_boundary(synthetic_boundary(points))
+    assert verdict.status is status
+    assert [w.note for w in verdict.witnesses] == notes
 
 
 def test_winding_injectivity_simple_ccw():
