@@ -114,12 +114,12 @@ def segment_pair_contacts(
     projection the four endpoint distances.
     """
     I, J = np.asarray(I), np.asarray(J)
-    k, h, n = len(I), 2 * len(I), len(A)
-    ends = np.concatenate((A.T, B.T), axis=1)  # x and y of every start, then every end
-    In, Jn = I + n, J + n
-    # each row's point, the start of its other segment, and that segment's end
-    rows = ends.take(np.concatenate((I, J, In, Jn, J, I, J, I, Jn, In, Jn, In)), axis=1)
-    P, a, b = rows[:, : 4 * k], rows[:, 4 * k : 8 * k], rows[:, 8 * k :]
+    k, h = len(I), 2 * len(I)
+    # x and y of the measured segments' starts and ends only, in the order
+    # p, q, then q, p twice: each row's point, then its other segment
+    order = np.concatenate((I, J, J, I, J, I))
+    starts, ends = A.take(order, axis=0).T, B.take(order, axis=0).T
+    P, a, b = np.concatenate((starts[:, :h], ends[:, :h]), axis=1), starts[:, h:], ends[:, h:]
     (px, py), (ax, ay), (bx, by) = P, a, b
     wx, wy = px - ax, py - ay
     o = (bx - ax) * wy - (by - ay) * wx  # o3, o1, o4, o2

@@ -17,6 +17,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import IO, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -104,6 +105,12 @@ class BoundaryCurve:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """``points`` as an (n, 2) float array, made once on first use:
+        ``points`` must not change after that."""
+        return np.asarray(self.points, dtype=float).reshape(-1, 2)
 
     def segment(self, i: int) -> tuple:
         return self.points[i], self.points[(i + 1) % len(self.points)]
@@ -197,8 +204,8 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
     on a stretched mesh this keeps every developed edge nearly horizontal.
 
     Raises CompatibilityFailure when a fold edge's two placements
-    disagree beyond COMPAT_TOL, which signals accumulated numerical
-    error or an invalid surface.
+    disagree beyond COMPAT_TOL, or by NaN, which signals accumulated
+    numerical error, non-finite coordinates or an invalid surface.
 
     The face frames (as float lists) and the walk plan come from the
     mesh's caches.  Corners are placed with float arithmetic: faces are
@@ -248,7 +255,7 @@ def develop(S: CutSurface, root_face: Optional[int] = None) -> PlanarLayout:
             gb2 = face_points[g][pb]
             mismatch = math.hypot(gb2[0] - gb[0], gb2[1] - gb[1])
             max_mismatch = max(max_mismatch, mismatch)
-            if mismatch > COMPAT_TOL:
+            if not mismatch <= COMPAT_TOL:  # NaN fails too
                 a, b = Q.faces[f][pa], Q.faces[g][pb]
                 raise CompatibilityFailure(
                     f"fold edge {(min(a, b), max(a, b))} placements disagree by {mismatch:.3e}"
@@ -276,7 +283,8 @@ def _assemble_boundary(face_points: Sequence, records: Iterable) -> BoundaryCurv
     ``(face, pos, dual)`` record, in order.
 
     Raises CompatibilityFailure where the head of segment i, the corner
-    after ``pos`` in its face, lies more than COMPAT_TOL from corner i + 1.
+    after ``pos`` in its face, lies more than COMPAT_TOL (or NaN) from
+    corner i + 1.
     """
     points, heads, duals = [], [], []
     for f, pos, dual in records:
@@ -287,7 +295,7 @@ def _assemble_boundary(face_points: Sequence, records: Iterable) -> BoundaryCurv
         duals.append(dual)
     for i, (head, nxt) in enumerate(zip(heads, [*points[1:], *points[:1]])):
         gap = math.hypot(head[0] - nxt[0], head[1] - nxt[1])
-        if gap > COMPAT_TOL:
+        if not gap <= COMPAT_TOL:  # NaN fails too
             raise CompatibilityFailure(f"boundary breaks after segment {i} by {gap:.3e}")
     return BoundaryCurve(points, duals)
 

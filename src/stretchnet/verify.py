@@ -14,20 +14,23 @@ structural facts the stretching is meant to buy, so their failure, like
 a clockwise boundary, is a precondition problem rather than overlap.
 
 The collision check measures only segment pairs that can touch.  Its
-broad phase keeps the pairs whose bounding boxes come within the
-tolerance, found by sorting the boxes by x, and then drops every pair
-with one segment wholly on one side of the other's line and clear of
-it, by the contact kernel's own orientation arithmetic; on a simple
-boundary little more than the consecutive pairs are left.  It takes the
-pairs in blocks of bounded size, so its memory does not grow with their
-number.  It and the arm oracles decide contacts with ``geometry``'s
-array kernels.
+broad phase drops a pair of consecutive segments when each free end is
+clear of the other segment.  Of the other pairs it keeps those whose
+bounding boxes come within the tolerance, found by sorting the boxes by
+x, and then drops every pair with one segment wholly on one side of the
+other's line and clear of it, testing both ways.  Both tests use the
+contact kernel's own orientation arithmetic.  On a simple boundary no
+pair is left, so the kernel is not called.  The check takes the pairs in
+blocks of bounded size, so its memory does not grow with their number.
+It and the arm oracles decide contacts with ``geometry``'s array
+kernels.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -127,10 +130,40 @@ def _near_line(segments: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray
     return ~((o * np.sign(o[0])).min(axis=0) > reach)
 
 
+def _free_ends_near(segments: np.ndarray, boxes: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Which consecutive pairs (p, q), segment p ending where q starts,
+    the free-end test keeps: False where each free end, p's start and
+    q's end, is clear of the other segment.
+
+    ``segments`` is as in _near_line, and ``boxes`` holds a row (xlo,
+    ylo, xhi, yhi) per segment: its bounding box grown by the margin.  A
+    free end is clear of a segment when the magnitude of its orientation
+    exceeds the segment's reach, or when it lies outside its grown box.
+    """
+    k = len(p)
+    other = np.concatenate((q, p))
+    rows, box = segments.take(other, axis=0), boxes.take(other, axis=0)
+    ends = np.concatenate((rows[k:, 0:2], rows[:k, 2:4]))  # p's start against q, q's end against p
+    ax, ay, _, _, dx, dy, reach = rows.T
+    cx, cy = ends.T
+    outside = ((ends < box[:, :2]) | (ends > box[:, 2:])).any(axis=1)
+    clear = (np.abs(dx * (cy - ay) - dy * (cx - ax)) > reach) | outside
+    return ~(clear[:k] & clear[k:])
+
+
+def _consecutive(step: np.ndarray, m: int, closed: bool) -> np.ndarray:
+    """Which pairs of the ``m`` segments of a polyline, ``step`` apart in
+    index, are consecutive."""
+    return (step == 1) | (step == m - 1) if closed else step == 1
+
+
 @lru_cache(maxsize=32)
-def _all_pairs(m: int) -> tuple:
-    """Every index pair (p, q), p < q, of ``m`` segments, read-only."""
-    pairs = np.triu_indices(m, 1)
+def _all_pairs(m: int, closed: bool) -> tuple:
+    """Every non-consecutive index pair (p, q), p < q, of the ``m``
+    segments of a polyline, read-only."""
+    p, q = np.triu_indices(m, 1)
+    keep = ~_consecutive(q - p, m, closed)
+    pairs = p[keep], q[keep]
     for a in pairs:
         a.flags.writeable = False
     return pairs
@@ -140,20 +173,14 @@ def _x_overlaps(xlo: np.ndarray, xhi: np.ndarray):
     """Blocks of index pairs (p, q) of intervals [xlo, xhi] that overlap,
     each pair once, at most _PAIR_BLOCK pairs to a block.
 
-    When every pair fits in one block, that block is every pair with
-    overlapping intervals, found without sorting.  Otherwise the
-    intervals are sorted by left end and each is paired with the later
-    ones that start before it ends (argsort plus searchsorted).  These
-    pairs are numbered in that order and taken _PAIR_BLOCK at a time, so
-    their memory does not grow with their number; a block is spelled out
-    by repeating each interval it spans once per pair it has there.
+    The intervals are sorted by left end and each is paired with the
+    later ones that start before it ends (argsort plus searchsorted).
+    These pairs are numbered in that order and taken _PAIR_BLOCK at a
+    time, so their memory does not grow with their number; a block is
+    spelled out by repeating each interval it spans once per pair it has
+    there.
     """
     m = len(xlo)
-    if m * (m - 1) // 2 <= _PAIR_BLOCK:
-        p, q = _all_pairs(m)
-        keep = (xlo[q] <= xhi[p]) & (xlo[p] <= xhi[q])
-        yield p[keep], q[keep]
-        return
     order = np.argsort(xlo)
     rank = np.arange(1, m + 1)
     counts = np.maximum(np.searchsorted(xlo[order], xhi[order], side="right") - rank, 0)
@@ -169,19 +196,45 @@ def _x_overlaps(xlo: np.ndarray, xhi: np.ndarray):
         yield np.repeat(order[f0:f1], share), order[np.repeat(partner[f0:f1], share) + np.arange(g0, g1)]
 
 
-def _candidate_pairs(A: np.ndarray, B: np.ndarray, lengths: np.ndarray, margin: float):
-    """Blocks of index pairs (I, J), i < j, of segments ``A->B`` (of
-    ``lengths``) that may come within ``margin`` of each other.
+def _gathered(blocks: Iterable):
+    """The pairs of ``blocks`` (p, q), each of at most _PAIR_BLOCK pairs,
+    gathered in order into blocks of at most _PAIR_BLOCK pairs, none of
+    them empty."""
+    held, count = [], 0
+    for p, q in blocks:
+        if not len(p):
+            continue
+        if held and count + len(p) > _PAIR_BLOCK:
+            yield _joined(held)
+            held, count = [], 0
+        held.append((p, q))
+        count += len(p)
+    if held:
+        yield _joined(held)
 
-    Broad phase of the contact check, in two filters.  The first keeps
-    the pairs whose bounding boxes, each grown by ``margin``, overlap:
-    _x_overlaps finds them by x, a block at a time, and each block is
-    filtered by y.  Nearly horizontal boundaries have short x-extents, so
-    few pairs get this far.  The second, _near_line, drops a pair (p, q)
-    when both ends of q lie strictly on one side of p's line with
-    orientations beyond 2 * margin * |p|, that is, farther than
-    2 * margin from it.  On a simple boundary little more than the
-    consecutive pairs remain.
+
+def _joined(held: list) -> tuple:
+    """The held blocks of pairs (p, q) as one block."""
+    return held[0] if len(held) == 1 else tuple(map(np.concatenate, zip(*held)))
+
+
+def _candidate_pairs(A: np.ndarray, B: np.ndarray, lengths: np.ndarray, margin: float, closed: bool):
+    """Blocks of index pairs (I, J), i < j, of segments ``A->B`` (of
+    ``lengths``) that may come within ``margin`` of each other, each pair
+    once and at most _PAIR_BLOCK to a block.  Segment i ends where i + 1
+    starts, and the last where the first starts if ``closed``.  No block
+    is empty, so a polyline with no pair left yields none.
+
+    Broad phase of the contact check.  The consecutive pairs are decided
+    in one pass by _free_ends_near, which drops a pair when each free end
+    is clear of the other segment.  Every other pair goes through two
+    filters (_separated_pairs).  The first keeps the pairs whose bounding
+    boxes, each grown by ``margin``, overlap; nearly horizontal
+    boundaries have short x-extents, so few pairs get this far.  The
+    second, _near_line, drops a pair (p, q) when both ends of q lie
+    strictly on one side of p's line with orientations beyond
+    2 * margin * |p|, that is, farther than 2 * margin from it, or the
+    same with p and q swapped.  On a simple boundary no pair is left.
 
     The line test loses no contact the kernel would report:
 
@@ -201,31 +254,77 @@ def _candidate_pairs(A: np.ndarray, B: np.ndarray, lengths: np.ndarray, margin: 
       from p.  That is the box test's own premise: ``margin`` is EPS plus
       an allowance of 64 ulps of s (at least 128us) for the rounding of
       the kernel's endpoint distances, so they read above EPS.
-    - Consecutive segments share an exact endpoint: the kernel's
-      expression gives it the orientation dx*dy - dy*dx = 0 exactly,
-      so consecutive pairs are never dropped.
+    - The kernel's four rows, p1|q, q1|p, p2|q and q2|p, are symmetric
+      in p and q, so the proof holds with their roles swapped.
+
+    Nor does the free-end test.  Consecutive segments share an exact
+    endpoint, which the kernel's expression gives the orientation
+    dx*dy - dy*dx = 0 exactly, so the line test never drops them.  The
+    kernel measures them with ``exclude_shared`` set: it reports a contact
+    only if more than one endpoint is shared or a free end lies within
+    EPS of the other segment.
+
+    - A clear free end lies more than ``margin`` from the other segment:
+      by the bound above when its orientation exceeds the reach, and by
+      the box test's premise when it lies outside the grown box.  So the
+      kernel reads its distance above EPS, by the same allowance.
+    - More than one shared endpoint needs a free end within EPS of an
+      endpoint of the other segment, which a clear one is not, or a
+      segment no longer than EPS, which require_segment_lengths rejects
+      before any pair is measured.
+    - A closed polyline of two segments shares both ends: each free end
+      is an endpoint of the other segment, with orientation 0 and inside
+      its box, so that pair is always measured.
     """
-    (xlo, ylo), (xhi, yhi) = (np.minimum(A, B) - margin).T, (np.maximum(A, B) + margin).T
+    m = len(A)
+    boxes = np.concatenate((np.minimum(A, B) - margin, np.maximum(A, B) + margin), axis=1)
     segments = np.concatenate((A, B, B - A, 2.0 * margin * lengths[:, None]), axis=1)
-    held, count = [], 0  # kept pairs, gathered into blocks of at most _PAIR_BLOCK
-    for p, q in _x_overlaps(xlo, xhi):
-        keep = (ylo[q] <= yhi[p]) & (ylo[p] <= yhi[q])
-        p, q = p[keep], q[keep]
-        keep = _near_line(segments, p, q)
-        p, q = p[keep], q[keep]
-        if held and count + len(p) > _PAIR_BLOCK:
-            yield _ordered(held)
-            held, count = [], 0
-        held.append((p, q))
-        count += len(p)
-    if held:
-        yield _ordered(held)
+    p = np.arange(m if closed and m > 2 else m - 1)  # two segments closed make one pair
+    q = (p + 1) % m
+    keep = _free_ends_near(segments, boxes, p, q)
+    p, q = p[keep], q[keep]
+    kept = [(p[g : g + _PAIR_BLOCK], q[g : g + _PAIR_BLOCK]) for g in range(0, len(p), _PAIR_BLOCK)]
+    for p, q in _gathered(chain(kept, _separated_pairs(segments, boxes, closed))):
+        yield np.minimum(p, q), np.maximum(p, q)
 
 
-def _ordered(held: list) -> tuple:
-    """The held blocks of pairs (p, q) as one block (I, J) with i < j."""
-    p, q = held[0] if len(held) == 1 else map(np.concatenate, zip(*held))
-    return np.minimum(p, q), np.maximum(p, q)
+def _separated_pairs(segments: np.ndarray, boxes: np.ndarray, closed: bool):
+    """Blocks of the non-consecutive pairs (p, q) whose ``boxes`` (as in
+    _free_ends_near) overlap and that the line test keeps both ways, at
+    most _PAIR_BLOCK pairs to a block.
+
+    When every pair fits in one block, the box test takes every pair but
+    the consecutive ones, without sorting, and the line test runs both
+    ways at once.  Otherwise _x_overlaps finds the pairs by x, a block at
+    a time, and each block is filtered by y and by the line test one way.
+    The other way, and the consecutive pairs among the overlaps, are
+    tested on those blocks gathered, where few pairs are left: both ways
+    over every box pair would double the line test's work on a long
+    boundary.
+    """
+    m = len(segments)
+    if m * (m - 1) // 2 <= _PAIR_BLOCK:
+        p, q = _all_pairs(m, closed)
+        bp, bq = boxes.take(p, axis=0), boxes.take(q, axis=0)
+        keep = ((bq[:, :2] <= bp[:, 2:]) & (bp[:, :2] <= bq[:, 2:])).all(axis=1)
+        p, q = p[keep], q[keep]
+        k = len(p)
+        keep = _near_line(segments, np.concatenate((p, q)), np.concatenate((q, p)))
+        keep = keep[:k] & keep[k:]
+        yield p[keep], q[keep]
+        return
+
+    def one_way():
+        xlo, ylo, xhi, yhi = boxes.T
+        for p, q in _x_overlaps(xlo, xhi):
+            keep = (ylo[q] <= yhi[p]) & (ylo[p] <= yhi[q])
+            p, q = p[keep], q[keep]
+            keep = _near_line(segments, p, q)
+            yield p[keep], q[keep]
+
+    for p, q in _gathered(one_way()):
+        keep = _near_line(segments, q, p) & ~_consecutive(np.abs(p - q), m, closed)
+        yield p[keep], q[keep]
 
 
 def polyline_self_intersections(points: Sequence, closed: bool) -> list:
@@ -242,13 +341,14 @@ def polyline_self_intersections(points: Sequence, closed: bool) -> list:
     the contact tolerance are measured, each once.  Its margin is EPS plus
     a rounding allowance relative to the largest coordinate magnitude, so
     every pair whose computed endpoint-to-segment distances can reach EPS
-    is among them; consecutive segments share an endpoint, so every
-    consecutive pair is, and the contact kernel forgives that endpoint.
-    Grown boxes can overlap where the segments' own boxes are disjoint;
-    the contact kernel's bounding-box guard keeps such a pair from being
-    read as crossing.  With two or more segments, the lowest-numbered
-    segment no longer than EPS raises DegenerateSegment.  The pairs are
-    measured one broad-phase block at a time.
+    is among them; a consecutive pair is among them unless each free end
+    is clear of the other segment, and the contact kernel forgives the
+    shared endpoint.  Grown boxes can overlap where the segments' own
+    boxes are disjoint; the contact kernel's bounding-box guard keeps
+    such a pair from being read as crossing.  With two or more segments,
+    the lowest-numbered segment no longer than EPS raises
+    DegenerateSegment.  The pairs are measured one broad-phase block at
+    a time, and a polyline with no pair left makes no kernel call.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     m = len(pts) if closed else len(pts) - 1
@@ -259,10 +359,8 @@ def polyline_self_intersections(points: Sequence, closed: bool) -> list:
     # a walk over all pairs meets the lowest-numbered short segment first
     lengths = require_segment_lengths(A, B, np.arange(m))
     raw = []
-    for I, J in _candidate_pairs(A, B, lengths, margin):
-        step = J - I
-        consecutive = (step == 1) | (step == m - 1) if closed else step == 1
-        _, proper, hit = segment_pair_contacts(A, B, I, J, consecutive)
+    for I, J in _candidate_pairs(A, B, lengths, margin, closed):
+        _, proper, hit = segment_pair_contacts(A, B, I, J, _consecutive(J - I, m, closed))
         if not hit.any():
             continue
         for i, j, crossing in zip(I[hit].tolist(), J[hit].tolist(), proper[hit].tolist()):
@@ -280,7 +378,7 @@ def check_self_intersection(B: BoundaryCurve) -> Verdict:
     ordered along the traversal, so the first witness is the analogue of
     the first self-contact point reached from the start corner.
     """
-    witnesses = polyline_self_intersections(B.points, closed=True)
+    witnesses = polyline_self_intersections(B.array, closed=True)
     if witnesses:
         return Verdict(Status.OVERLAP, tuple(witnesses), {"self_intersection": False})
     return Verdict(Status.NET, (), {"self_intersection": True})
@@ -411,8 +509,9 @@ def certify_boundary(B: BoundaryCurve, interior_probes: Iterable = ()) -> Verdic
     ``interior_probes`` is accepted and ignored, because the benchmark
     harness still passes face centroids to it.
     """
-    bad = next((i for i, (x, y) in enumerate(B.points) if not (math.isfinite(x) and math.isfinite(y))), None)
-    if bad is not None:
+    finite = np.isfinite(B.array)
+    if not finite.all():
+        bad = int(finite.all(axis=1).argmin())
         note = f"corner {bad} has a non-finite coordinate {tuple(B.points[bad])!r}"
         return Verdict(Status.PRECONDITION_FAILURE, (Witness(note=note),), {"finite_coordinates": False})
     checks: dict = {}
@@ -443,7 +542,7 @@ def certify_boundary(B: BoundaryCurve, interior_probes: Iterable = ()) -> Verdic
     if not self_int.ok:
         return Verdict(Status.OVERLAP, tuple(witnesses), checks)
 
-    area = _signed_area(B.points)
+    area = _signed_area(B.array)
     checks["winding_in_0_1"] = checks["ccw_orientation"] = area > 0.0
     if area <= 0.0:
         witnesses.append(Witness(note=f"boundary runs clockwise (signed area {area!r})"))

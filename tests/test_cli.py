@@ -75,6 +75,21 @@ def test_unfold_development_failure_is_a_verdict(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unfold_non_finite_development_is_a_verdict(tmp_path, capsys):
+    # at theta-max 1e-300 the stretch overflows and every placement is NaN;
+    # a NaN fold mismatch tears the development like a large one, so no
+    # artefact full of nan tokens is written
+    out = tmp_path / "net"
+    code = run_cli("unfold", "--input", DATA / "cube.off", "--out", out, "--format", "both", "--theta-max", "1e-300")
+    verdict = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert verdict["status"] == "precondition_failure"
+    assert verdict["checks"] == {"layout_consistency": False}
+    assert verdict["witnesses"][0]["note"] == "fold edge (4, 6) placements disagree by nan"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unfold_missing_file_exit_2(tmp_path, capsys):
     code = run_cli("unfold", "--input", tmp_path / "nope.off", "--out", tmp_path / "x")
     assert code == 2

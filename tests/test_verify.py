@@ -10,8 +10,16 @@ from stretchnet import shapes
 from stretchnet.errors import DegenerateSegment, LengthMismatch, VerticalSegment
 from stretchnet.geometry import EPS, segment_pair_contacts
 from stretchnet.pipeline import stretch_and_unfold
-from stretchnet.transform import apply_linear, choose_rotation, default_theta_max, plan_stretch, required_lambda, rotate
-from stretchnet.tree import build_increasing_tree, enumerate_spanning_trees
+from stretchnet.transform import (
+    apply_linear,
+    apply_stretch,
+    choose_rotation,
+    default_theta_max,
+    plan_stretch,
+    required_lambda,
+    rotate,
+)
+from stretchnet.tree import build_increasing_tree, enumerate_spanning_trees, sample_increasing_trees
 from stretchnet.unfold import BoundaryCurve, boundary_curve, cut, develop
 from stretchnet.verdict import Status
 from stretchnet import verify
@@ -182,41 +190,73 @@ def closed_polyline(draw):
     return pts
 
 
-def candidate_pairs(points, block):
-    """The broad phase's blocks of pairs for the closed polyline
-    ``points`` with ``_PAIR_BLOCK`` set to ``block``."""
-    pts = np.array(points)
-    A, B = pts, np.roll(pts, -1, axis=0)
+def candidate_pairs(points, closed, block):
+    """The segment ends of the polyline ``points`` and the broad phase's
+    blocks of pairs for it, with ``_PAIR_BLOCK`` set to ``block``."""
+    pts = np.array(points, dtype=float)
+    m = len(pts) if closed else len(pts) - 1
+    A, B = pts[:m], np.roll(pts, -1, axis=0)[:m]
+    lengths = np.hypot(*(B - A).T)
+    assume(m >= 2 and lengths.min() > EPS)  # shorter segments raise before the broad phase
+    margin = EPS + verify._ROUNDING * np.abs(pts).max()
     with mock.patch.object(verify, "_PAIR_BLOCK", block):
-        return list(_candidate_pairs(A, B, np.hypot(*(B - A).T), EPS + 64.0 * np.finfo(float).eps * np.abs(pts).max()))
+        return A, B, list(_candidate_pairs(A, B, lengths, margin, closed))
 
 
-def assert_every_consecutive_pair_once(points, block):
-    m = len(points)
-    blocks = candidate_pairs(points, block)
+@st.composite
+def consecutive_fold_back(draw):
+    """A polyline at a scale from 1 to 1e8 with a corner placed EPS/2 to
+    three broad-phase margins from the segment before the previous one,
+    on either side: a fold-back along it, or a straight continuation past
+    its end.  That segment is horizontal, vertical or slanted, and the
+    polyline may run backwards or start anywhere, so the fold-back can be
+    either free end of the pair and, closed, the pair of the last and
+    first segments."""
+    scale = 10.0 ** draw(st.floats(0.0, 8.0))
+    unit = st.floats(-1.0, 1.0) | st.sampled_from([0.0, 1.0, -1.0])
+    pts = [(scale * draw(unit), scale * draw(unit)) for _ in range(draw(st.integers(2, 5)))]
+    k = draw(st.integers(1, len(pts) - 1))
+    (ax, ay), (bx, by) = pts[k - 1], pts[k]
+    bx, by = draw(st.sampled_from([(bx, by), (bx, ay), (ax, by)]))
+    pts[k] = bx, by
+    length = math.hypot(bx - ax, by - ay)
+    assume(length > scale * 1e-3)
+    margin = EPS + 64.0 * np.finfo(float).eps * max(abs(c) for pt in pts for c in pt)
+    t = draw(st.floats(0.0, 1.5) | st.sampled_from([0.0, 0.5, 1.0]))
+    gap = draw(st.floats(EPS / 2, 3 * margin)) * draw(st.sampled_from([1.0, -1.0]))
+    pts.insert(k + 1, (ax + t * (bx - ax) - gap * (by - ay) / length, ay + t * (by - ay) + gap * (bx - ax) / length))
+    if draw(st.booleans()):
+        pts.reverse()
+    turn = draw(st.integers(0, len(pts) - 1))
+    return pts[turn:] + pts[:turn]
+
+
+def assert_candidate_pairs_leave_out_only_contact_free_pairs(points, closed, block):
+    A, B, blocks = candidate_pairs(points, closed, block)
+    m = len(A)
+    assert all(1 <= len(I) <= block for I, _ in blocks)
     pairs = [(i, j) for I, J in blocks for i, j in zip(I.tolist(), J.tolist())]
     assert len(set(pairs)) == len(pairs) and all(i < j for i, j in pairs)
-    assert {(i, i + 1) for i in range(m - 1)} | {(0, m - 1)} <= set(pairs)
-    assert all(len(I) <= block for I, _ in blocks)
+    out = sorted(set(zip(*np.triu_indices(m, 1))) - set(pairs))
+    if out:
+        I, J = np.array(out).T
+        step = J - I
+        consecutive = (step == 1) | (step == m - 1) if closed else step == 1
+        assert not segment_pair_contacts(A, B, I, J, consecutive)[2].any()
 
 
-@given(closed_polyline())
-@example([(1e8, -1e8), (1e8 + 1e-8, -1e8), (-1e8, 1e8)])
-@example([(99999999.99999999, 3.0), (99999999.99999999, 3.0), (5e-324, -1e8)])
-def test_candidate_pairs_hold_every_consecutive_pair_once(points):
-    # polyline_self_intersections measures consecutive pairs only because
-    # the broad phase returns them: each pair's boxes share an endpoint,
-    # which lies exactly on both segments' lines.  Blocks of two
-    # x-overlapping pairs make the pairs of one box span blocks.
-    assert_every_consecutive_pair_once(points, 2)
-
-
-@given(closed_polyline())
-def test_candidate_pairs_of_a_short_polyline_come_in_one_block(points):
-    # every pair of a polyline this short fits in the default block, so
-    # the broad phase measures them all at once, without sorting
-    assert len(candidate_pairs(points, verify._PAIR_BLOCK)) == 1
-    assert_every_consecutive_pair_once(points, verify._PAIR_BLOCK)
+@pytest.mark.parametrize("block", [2, verify._PAIR_BLOCK], ids=["block-2", "default-block"])
+@given(points=closed_polyline() | consecutive_fold_back(), closed=st.booleans())
+@example(points=[(1e8, -1e8), (1e8 + 1e-8, -1e8), (-1e8, 1e8)], closed=True)
+@example(points=[(0.0, 0.0), (1.0, 0.0), (0.5, EPS / 2)], closed=False)  # fold-back over a flat box
+@example(points=[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], closed=False)  # straight continuations
+@example(points=[(0.0, 0.0), (1.0, 0.5), (0.0, 1.0)], closed=True)
+def test_candidate_pairs_leave_out_only_contact_free_pairs(block, points, closed):
+    # each pair at most once, in non-empty blocks no larger than the
+    # block size, and every pair the broad phase leaves out, consecutive
+    # or not, is one the contact kernel finds contact-free.  Blocks of two
+    # make the pairs of one box span blocks.
+    assert_candidate_pairs_leave_out_only_contact_free_pairs(points, closed, block)
 
 
 def test_polyline_disjoint_segments_with_overlapping_grown_boxes():
@@ -304,14 +344,18 @@ def contacts(points, closed):
         return str(exc)
 
 
-def keep_every_pair(segments, p, q):
-    return np.ones(len(p), dtype=bool)
+def keep_every_pair(*args):
+    return np.ones(len(args[-1]), dtype=bool)
 
 
 def assert_line_test_drops_no_contact(points):
+    # with the line test (both ways) and the free-end test keeping every
+    # pair, the kernel measures every pair whose grown boxes overlap
     for closed in (True, False):
         filtered = contacts(points, closed)
-        with mock.patch.object(verify, "_near_line", keep_every_pair):
+        with mock.patch.object(verify, "_near_line", keep_every_pair), mock.patch.object(
+            verify, "_free_ends_near", keep_every_pair
+        ):
             assert contacts(points, closed) == filtered
 
 
@@ -335,12 +379,13 @@ def near_touching_polyline(draw):
     return pts
 
 
-@given(closed_polyline() | near_touching_polyline())
+@given(closed_polyline() | near_touching_polyline() | consecutive_fold_back())
 @example([(0.0, 0.0), (1.0, 0.0), (0.75, 2 * EPS), (0.25, 2 * EPS)])
 @example([(0.0, 0.0), (1.0, 0.0), (0.75, EPS / 2), (0.25, -EPS / 2)])
 def test_line_test_drops_no_contact(points):
-    # the broad phase's line test only saves the contact kernel work:
-    # keeping every pair it would drop finds the same witnesses
+    # the broad phase's line and free-end tests only save the contact
+    # kernel work: keeping every pair they would drop finds the same
+    # witnesses
     assert_line_test_drops_no_contact(points)
 
 
@@ -349,13 +394,44 @@ def test_line_test_drops_no_contact_on_census_and_hull_boundaries(hull_boundarie
         assert_line_test_drops_no_contact(points)
 
 
-def test_line_test_leaves_little_more_than_the_consecutive_pairs(hull_boundaries):
-    # without the line test the box filter hands the kernel 70,423 pairs
-    # of this 1,998-segment boundary; with it 2,166 remain
-    points = hull_boundaries["pi-40"]
+def kernel_pairs(points):
+    """The pairs (i, j) the contact kernel measures on the closed polyline
+    ``points``, which must have no contact."""
     with mock.patch.object(verify, "segment_pair_contacts", wraps=segment_pair_contacts) as kernel:
         assert polyline_self_intersections(points, closed=True) == []
-    assert sum(len(call.args[2]) for call in kernel.call_args_list) <= 1.1 * len(points)
+    return [(i, j) for call in kernel.call_args_list for i, j in zip(call.args[2].tolist(), call.args[3].tolist())]
+
+
+def test_line_test_leaves_little_more_than_the_consecutive_pairs(hull_boundaries):
+    # without the line test the box filter hands the kernel 70,423 pairs
+    # of this 1,998-segment boundary; run one way it leaves 168 besides
+    # the consecutive ones, and both ways none
+    points = hull_boundaries["pi-40"]
+    m = len(points)
+    with mock.patch.object(verify, "_free_ends_near", keep_every_pair):
+        pairs = kernel_pairs(points)
+    assert sorted(pairs) == sorted([(i, i + 1) for i in range(m - 1)] + [(0, m - 1)])
+
+
+@pytest.fixture(scope="module")
+def tree_census_boundaries():
+    """Boundaries of increasing trees of the Platonic solids and of small
+    random hulls at the default bound, every one a net."""
+    meshes = [shapes.tetrahedron(), shapes.cube(), shapes.octahedron(), shapes.dodecahedron(), shapes.icosahedron()]
+    meshes += [shapes.random_hull(n, seed) for seed in (0, 1) for n in range(6, 11)]
+    out = []
+    for P in meshes:
+        Q = apply_stretch(P, plan_stretch(P))
+        out += [boundary_curve(develop(cut(Q, T))).points for T in sample_increasing_trees(Q, 12, seed=0)]
+    return out
+
+
+def test_no_kernel_call_on_a_net(tree_census_boundaries, hull_boundaries):
+    # every pair of a net's boundary is dropped by the broad phase, so the
+    # contact check makes no kernel call at all
+    for points in [*tree_census_boundaries, hull_boundaries["pi-40"]]:
+        assert kernel_pairs(points) == []
+        assert certify_boundary(synthetic_boundary(points)).status is Status.NET
 
 
 @pytest.mark.parametrize(
@@ -527,8 +603,6 @@ def test_certify_overlap_reports_traversal_first_witness():
 def test_lemma2_consistency_over_census(tetra):
     # whenever self-intersection passes with ccw orientation, the winding
     # check must also pass; tested over every unfolding of the tetrahedron
-    from stretchnet.transform import apply_stretch, plan_stretch
-
     Q = apply_stretch(tetra, plan_stretch(tetra))
     for T in enumerate_spanning_trees(Q):
         L = develop(cut(Q, T))
