@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import CompatibilityFailure, MalformedLayout, UnfoldError
+from .errors import CompatibilityFailure, MalformedLayout, ThetaOutOfRange, UnfoldError
 from .geometry import TILT_BOUND
 from .mesh import load_off
 from .oracle import census, census_csv
@@ -39,18 +39,22 @@ def _load_mesh(path: str):
 
 
 def _theta(value: str):
-    if value == "auto":
-        return None
-    theta = float(value)
-    if not (0.0 < theta < TILT_BOUND):
-        raise ValueError(f"theta-max must lie in (0, {TILT_BOUND!r}), got {theta!r}")
-    return theta
+    """``--theta-max`` as ``transform`` takes it; ``transform`` checks its range."""
+    return None if value == "auto" else float(value)
 
 
 def _positive(flag: str, value: float):
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{flag} must be a positive finite number, got {value!r}")
     return value
+
+
+def _write_csv(text: str, out) -> None:
+    """Write ``text`` to the ``--out`` path, or to stdout without one."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_unfold(args) -> int:
@@ -103,11 +107,7 @@ def cmd_census(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = census(P, lambdas=lambdas, cap=args.cap, seed=args.seed, theta_max=theta)
-    text = census_csv(rows)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(census_csv(rows), args.out)
     return 0
 
 
@@ -126,11 +126,7 @@ def cmd_sweep(args) -> int:
         lines.append(
             ",".join(format(c, ".17g") for c in r.direction) + f",{lam},{r.status}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -181,7 +177,11 @@ def main(argv=None) -> int:
     if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
         print(f"error: --seed must be a non-negative integer, got {args.seed!r}", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ThetaOutOfRange as exc:  # raised while planning, before any output is written
+        print(f"error: --theta-max: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

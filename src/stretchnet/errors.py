@@ -37,6 +37,10 @@ class OrthogonalEdge(UnfoldError):
     """An edge is (near-)orthogonal to the stretch axis."""
 
 
+class ThetaOutOfRange(UnfoldError, ValueError):
+    """A per-edge angle bound outside (0, pi/10), or one whose stretch overflows."""
+
+
 class NoRightwardEdge(UnfoldError):
     """A non-maximal vertex has no neighbor with strictly larger x."""
 

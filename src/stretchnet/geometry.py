@@ -10,8 +10,9 @@ tolerance ``EPS`` governs collinearity, point-on-segment and
 point-on-curve decisions.  Meshes are rescaled to unit bounding-box
 diameter on load, but the stretch scales x by its factor, so one
 absolute epsilon holds only while one ulp of the largest coordinate
-stays below it: at the default bound that fails from about 3,000 hull
-points (README, "Limits").
+stays below it: at the default bound one ulp of the largest x passes
+1e-9 from about 3,000 hull points (README "Limits", the tolerance item;
+ROADMAP item 2).
 
 All functions here are pure and safe to call concurrently.
 """

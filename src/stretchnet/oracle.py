@@ -1,4 +1,4 @@
-"""Brute-force ground truth: tree censuses and independent counting checks.
+"""Brute-force ground truth: tree censuses and an overlap search.
 
 The census unfolds every spanning tree (up to a cap) of a small mesh at
 each requested stretch factor and certifies the result, giving an
@@ -18,7 +18,7 @@ from . import shapes
 from .errors import CompatibilityFailure
 from .geometry import EPS, curve_distances, winding_numbers
 from .mesh import Polyhedron
-from .transform import apply_linear, choose_rotation, default_theta_max, required_lambda, rotate
+from .transform import apply_linear, plan_stretch
 from .tree import SpanningTree, enumerate_spanning_trees, is_increasing, vertex_order
 from .unfold import boundary_curve, cut, develop
 from .verdict import Status, Verdict, inconsistent_layout
@@ -40,14 +40,14 @@ def census(
     cap: int = 1000,
     seed: int = 0,
     theta_max: Optional[float] = None,
-    rotate_first: bool = True,
 ) -> list[CensusRow]:
     """Unfold and certify every spanning tree (up to ``cap``) per lambda.
 
-    ``"auto"`` resolves a lambda to the one required for ``theta_max``
-    (default pi / (20 N)).  With ``rotate_first`` false, lambda = 1 rows
-    exercise the mesh exactly as given.  Rows are deterministic and
-    ordered by (lambda position, tree id).
+    The rotation, and the lambda that ``"auto"`` stands for, come from
+    ``plan_stretch(P, theta_max, seed)``, so ``theta_max`` obeys its rule.
+    Every lambda, 1 included, stretches that rotation of ``P``; there is
+    no unrotated mode.  Rows are deterministic and ordered by (lambda
+    position, tree id).
 
     A cut depends only on the corners and on ``vertex_order``, which two
     lambdas can round differently at a near-tie in x.  So the trees are
@@ -56,16 +56,13 @@ def census(
     (``CompatibilityFailure``) is a ``precondition_failure`` row with that
     failure as its one witness, as ``stretch_and_unfold`` reports it.
     """
-    theta = default_theta_max(P) if theta_max is None else float(theta_max)
-    R = choose_rotation(P, seed=seed) if rotate_first else np.eye(3)
-    P_rot = rotate(P, R) if rotate_first else P
-
-    resolved = [required_lambda(P_rot, theta) if lam == "auto" else float(lam) for lam in lambdas]
+    plan = plan_stretch(P, theta_max, seed)
+    resolved = [plan.lam if lam == "auto" else float(lam) for lam in lambdas]
 
     surfaces: dict = {}  # vertex order -> the cut of every tree, in tree order
     rows = []
     for lam in resolved:
-        Q = apply_linear(P, R, lam) if (rotate_first or lam != 1.0) else P
+        Q = apply_linear(P, plan.rotation, lam)
         key = vertex_order(Q)
         if key not in surfaces:
             surfaces[key] = [cut(Q, T) for T in enumerate_spanning_trees(Q, cap=cap)]
@@ -88,48 +85,6 @@ def census_csv(rows: Sequence[CensusRow]) -> str:
             f"{r.witnesses},{format(r.lam, '.17g')}"
         )
     return "\n".join(out) + "\n"
-
-
-# -- matrix-tree count ------------------------------------------------------
-
-
-def _det_bareiss(M: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix via fraction-free elimination."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for r in range(k + 1, n):
-                if A[r][k] != 0:
-                    A[k], A[r] = A[r], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
-def matrix_tree_count(graph: tuple) -> int:
-    """Number of spanning trees of the graph ``(n_vertices, edge list)``
-    via the Laplacian cofactor (exact integers)."""
-    n, edges = graph
-    L = [[0] * n for _ in range(n)]
-    for u, v in edges:
-        L[u][u] += 1
-        L[v][v] += 1
-        L[u][v] -= 1
-        L[v][u] -= 1
-    minor = [row[1:] for row in L[1:]]
-    return _det_bareiss(minor)
 
 
 # -- overlap search ---------------------------------------------------------

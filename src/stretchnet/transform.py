@@ -5,6 +5,11 @@ rotation chosen so no edge is orthogonal to the x-axis.  After it,
 every edge direction forms an angle below ``theta_max`` with the
 x-axis; the default bound is pi / (20 N) for an N-edge mesh, which is
 what the downstream unfolding certification relies on.
+
+This module is the one place that plans a stretch: it resolves
+``theta_max``, rejects a bound outside (0, TILT_BOUND) with
+``ThetaOutOfRange``, and ``plan_stretch`` chooses the rotation and the
+lambda that ``stretch_and_unfold``, ``oracle.census`` and the CLI use.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OrthogonalEdge, UnfoldError
-from .geometry import EPS
+from .errors import OrthogonalEdge, ThetaOutOfRange, UnfoldError
+from .geometry import EPS, TILT_BOUND
 from .mesh import Polyhedron
 
 #: Largest number of edge-candidate margins the rotation search holds at once.
@@ -26,6 +31,21 @@ _MARGIN_BLOCK = 1 << 14
 def default_theta_max(P: Polyhedron) -> float:
     """Conservative per-edge angle bound pi / (20 N) for an N-edge mesh."""
     return math.pi / (20.0 * P.n_edges)
+
+
+def _check_theta(theta) -> float:
+    """``theta`` as a float, if it lies in (0, TILT_BOUND): the one rule
+    for a per-edge angle bound.  Anything else raises ThetaOutOfRange."""
+    theta = float(theta)
+    if not 0.0 < theta < TILT_BOUND:  # NaN and the infinities fail too
+        raise ThetaOutOfRange(f"theta_max must lie in (0, pi/10), got {theta!r}")
+    return theta
+
+
+def _resolve_theta(P: Polyhedron, theta_max: Optional[float]) -> float:
+    """The bound a stretch of ``P`` is planned for: ``theta_max``, or
+    pi / (20 N) when it is None."""
+    return _check_theta(default_theta_max(P) if theta_max is None else theta_max)
 
 
 @dataclass(frozen=True)
@@ -44,8 +64,7 @@ class Stretch:
             raise ValueError("rotation must be orthogonal with determinant 1")
         if not self.lam >= 1.0:  # NaN fails too
             raise ValueError("lambda must be >= 1")
-        if not (0.0 < self.theta_max < math.pi / 2.0):
-            raise ValueError("theta_max must lie in (0, pi/2)")
+        _check_theta(self.theta_max)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -152,10 +171,23 @@ def apply_stretch(P: Polyhedron, S: Stretch) -> Polyhedron:
 
 
 def plan_stretch(P: Polyhedron, theta_max: Optional[float] = None, seed: int = 0) -> Stretch:
-    """Pick a rotation and the matching lambda for ``P``."""
-    theta = default_theta_max(P) if theta_max is None else float(theta_max)
+    """Pick a rotation and the matching lambda for ``P``.
+
+    ``theta_max`` defaults to pi / (20 N) and must lie in (0, TILT_BOUND).
+    A bound so small that its lambda cannot be carried in floating point,
+    where some stretched edge's squared length overflows (the face frames
+    square edge lengths), raises ThetaOutOfRange too.
+    """
+    theta = _resolve_theta(P, theta_max)
     R = choose_rotation(P, seed=seed)
-    lam = required_lambda(rotate(P, R), theta)
+    P_rot = rotate(P, R)
+    lam = required_lambda(P_rot, theta)
+    with np.errstate(over="ignore"):
+        squared = np.square(P_rot.edge_vectors * [lam, 1.0, 1.0]).sum(axis=1)
+    if not np.isfinite(squared).all():
+        raise ThetaOutOfRange(
+            f"theta_max {theta!r} plans lambda {lam!r}, where a stretched edge's squared length overflows"
+        )
     return Stretch(R, lam, theta)
 
 
@@ -200,11 +232,13 @@ def sweep_directions(
 
     Directions orthogonal to some edge are recorded as failures rather
     than raised; they form measure-zero great circles, so random samples
-    almost surely succeed.
+    almost surely succeed.  ``theta_max`` obeys ``plan_stretch``'s range
+    rule; a lambda here is only reported, never applied, so it may be
+    one that ``plan_stretch`` would reject as overflowing.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    theta = default_theta_max(P) if theta_max is None else float(theta_max)
+    theta = _resolve_theta(P, theta_max)
     if directions is None:
         rng = np.random.default_rng(seed)
         dirs = rng.normal(size=(k, 3))

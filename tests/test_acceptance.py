@@ -15,7 +15,7 @@ from stretchnet import shapes
 from stretchnet.cli import main as cli_main
 from stretchnet.geometry import EPS, curve_distances, winding_numbers
 from stretchnet.mesh import Polyhedron, export_off
-from stretchnet.oracle import find_overlap_tetrahedron, matrix_tree_count
+from stretchnet.oracle import find_overlap_tetrahedron
 from stretchnet.transform import apply_stretch, plan_stretch
 from stretchnet.tree import (
     enumerate_increasing_trees,
@@ -35,6 +35,7 @@ from stretchnet.verify import (
 
 import certificate_reference as reference
 from mesh_reference import face_points3d
+from matrix_tree import matrix_tree_count
 
 
 def report(num: int, ok: bool, detail: str):

@@ -75,19 +75,26 @@ def test_unfold_development_failure_is_a_verdict(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_unfold_non_finite_development_is_a_verdict(tmp_path, capsys):
-    # at theta-max 1e-300 the stretch overflows and every placement is NaN;
-    # a NaN fold mismatch tears the development like a large one, so no
-    # artefact full of nan tokens is written
+def test_unfold_theta_max_beyond_float_range_exit_2(tmp_path, capsys):
+    # at theta-max 1e-300 the planned lambda is about 1.45e300, and a
+    # stretched edge's squared length overflows: an input error naming the
+    # flag and the lambda, with no verdict and no files
     out = tmp_path / "net"
     code = run_cli("unfold", "--input", DATA / "cube.off", "--out", out, "--format", "both", "--theta-max", "1e-300")
-    verdict = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert verdict["status"] == "precondition_failure"
-    assert verdict["checks"] == {"layout_consistency": False}
-    assert verdict["witnesses"][0]["note"] == "fold edge (4, 6) placements disagree by nan"
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --theta-max: theta_max 1e-300 plans lambda 1.45")
+    assert "overflows" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_census_theta_max_beyond_float_range_exit_2(tmp_path, capsys):
+    out = tmp_path / "census.csv"
+    code = run_cli("census", "--input", DATA / "cube.off", "--cap", "2", "--theta-max", "1e-300", "--out", out)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --theta-max: theta_max 1e-300 plans lambda")
+    assert not out.exists()
 
 
 def test_unfold_missing_file_exit_2(tmp_path, capsys):

@@ -3,8 +3,9 @@
 Every module uses each name it imports, and every module-level private
 name (``_x``) is read somewhere in ``src/``: the leftovers a deletion
 leaves behind.  Only ``shapes`` imports scipy, so ``import stretchnet``
-needs numpy alone.  The source checks read the source with ``ast`` and
-import nothing; the import check runs in a fresh interpreter.
+needs numpy alone.  Only ``transform`` calls the stretch planner's
+parts.  The source checks read the source with ``ast`` and import
+nothing; the import check runs in a fresh interpreter.
 """
 
 import ast
@@ -87,3 +88,20 @@ def test_import_stretchnet_loads_no_scipy():
     code = "import sys, stretchnet; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def called_names(tree: ast.Module) -> set:
+    """Names the module calls, bare or as an attribute."""
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+    return called
+
+
+def test_only_transform_plans_a_stretch():
+    # the default bound, the rotation and the lambda are chosen in one
+    # place; everything else takes them from plan_stretch
+    planners = {"default_theta_max", "choose_rotation", "required_lambda"}
+    assert {name for name, tree in MODULES.items() if called_names(tree) & planners} == {"transform.py"}

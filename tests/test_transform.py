@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from stretchnet.errors import OrthogonalEdge
+from stretchnet.errors import OrthogonalEdge, ThetaOutOfRange
+from stretchnet.oracle import census
+from stretchnet.pipeline import stretch_and_unfold
 from stretchnet.transform import (
     Stretch,
     _lambda_for_dirs,
@@ -97,6 +99,34 @@ def test_stretch_validation():
         Stretch(np.eye(3), float("nan"), 0.01)
     with pytest.raises(ValueError):
         Stretch(np.eye(3), 1.0, 3.0)
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.1, math.nan, math.pi / 10, 0.5], ids=["0", "negative", "nan", "pi-10", "0.5"])
+def test_one_theta_rule(cube, theta):
+    # the planner, the census and the sweep reject the same bounds alike
+    calls = (
+        lambda: plan_stretch(cube, theta),
+        lambda: census(cube, cap=1, theta_max=theta),
+        lambda: sweep_directions(cube, 3, theta_max=theta),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {f"theta_max must lie in (0, pi/10), got {theta!r}"}
+
+
+@pytest.mark.filterwarnings("error")
+def test_plan_rejects_a_lambda_whose_squares_overflow(cube):
+    # on the cube, theta 1e-154 plans lambda 1.45e154: the development
+    # tears, but by a finite mismatch and without an overflow warning;
+    # at 1e-155 a stretched edge's squared length would overflow
+    run = stretch_and_unfold(cube, 1e-154)
+    assert run.stretch.lam == pytest.approx(1.45377e154)
+    assert run.layout is None and not run.verdict.witnesses[0].note.endswith("nan")
+    with pytest.raises(ThetaOutOfRange, match=r"^theta_max 1e-155 plans lambda 1\.45\d*e\+155, "):
+        plan_stretch(cube, 1e-155)
 
 
 def test_stretch_preserves_convexity(dodeca):

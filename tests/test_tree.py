@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stretchnet import oracle, shapes
+from stretchnet import shapes
 from stretchnet.errors import NoRightwardEdge, NotSpanningTree
 from stretchnet.transform import apply_stretch, plan_stretch
 from stretchnet.tree import (
@@ -180,12 +180,12 @@ def test_is_increasing_classifies_all_16(stretched_tetra):
 
 @pytest.mark.parametrize("make, flagged", [(shapes.cube, 0), (shapes.octahedron, 4)], ids=["cube", "octahedron"])
 def test_census_flags_only_strictly_increasing_trees(make, flagged):
-    # unrotated at lambda 1, the cube and octahedron have vertices tied in
-    # x: only trees whose every parent lies strictly right are increasing
+    # as built, the cube and octahedron have vertices tied in x: only
+    # trees whose every parent lies strictly right are increasing
     P = make()
-    rows = oracle.census(P, (1.0,), rotate_first=False)
-    assert len(rows) == 384
-    assert sum(r.increasing for r in rows) == flagged
+    trees = list(enumerate_spanning_trees(P))
+    assert len(trees) == 384
+    assert sum(is_increasing(P, T) for T in trees) == flagged
     if flagged:
         assert flagged == sum(1 for _ in enumerate_increasing_trees(P))
     else:
